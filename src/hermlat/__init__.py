@@ -52,12 +52,10 @@ from hermlat.ring import (
     sym_power,
 )
 from hermlat.roots import (
-    Fingerprint,
     RootSystemReport,
     catalog_gram,
     check_dynkin,
     dynkin_edges,
-    fingerprint,
     gamma_gram,
     identify,
     identity_gram,

@@ -102,8 +102,12 @@ def min_characteristic(
     """Exact minimal characteristic norm, all minimizers, mu, and defect.
 
     Characteristic norms lie in one residue class mod 8 (van der Blij), so
-    the search starts at rank mod 8 and widens by 8 until nonempty.
+    the search starts at rank mod 8 and widens by 8 until nonempty.  That
+    congruence, and with it the defect, needs determinant 1: other inputs
+    raise ValueError.
     """
+    if G.determinant() != 1:
+        raise ValueError("lattice is not unimodular (determinant != 1)")
     r = G.rank
     c = char_rep(G)
     bound = r % 8
@@ -135,7 +139,8 @@ def is_standard(
     U^T G U = I, assembled from the norm-1 vectors); False comes with a
     characteristic vector of norm < rank.  Both outcomes are cross-checked
     against the count of norm-1 pairs, which must equal the rank exactly in
-    the standard case.
+    the standard case.  Like `min_characteristic`, it raises ValueError
+    unless the determinant is 1.
     """
     report = min_characteristic(G, max_nodes=max_nodes)
     r = G.rank

@@ -27,10 +27,11 @@ from hermlat.charvec import (
     char_witness,
     check_orthonormal_certificate,
     defect_certificate_check,
+    floor3_multiplier,
     is_characteristic,
+    is_standard,
     min_characteristic,
     specific_criterion,
-    floor3_multiplier,
     wa_norm,
     witness_vector,
 )
@@ -63,7 +64,6 @@ from hermlat.roots import (
     root_system,
     v4_root_batches,
 )
-import hermlat.charvec as charvec
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -165,14 +165,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     want_all = not (args.defect or args.mu or args.roots or args.standardize)
     budget = args.budget
     skipped = False
+    det = G.determinant()
+    unimodular = det == 1
     report: dict = {
         "rank": G.rank,
-        "determinant": G.determinant(),
+        "determinant": det,
         "parity": "odd" if G.is_odd() else "even",
     }
 
+    want_char = want_all or args.defect or args.mu or args.standardize
+    missing = {"status": "skipped(budget)" if unimodular else "not unimodular"}
     char = None
-    if want_all or args.defect or args.mu or args.standardize:
+    if unimodular and want_char:
         try:
             char = min_characteristic(G, max_nodes=budget)
         except BudgetExceeded:
@@ -181,20 +185,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report["defect"] = (
             {"min_norm": char.min_norm, "defect": char.defect}
             if char is not None
-            else {"status": "skipped(budget)"}
+            else missing
         )
     if want_all or args.mu:
         report["mu"] = (
             {"mu": char.mu, "minimizers": [list(v) for v in char.minimizers]}
             if char is not None
-            else {"status": "skipped(budget)"}
+            else missing
         )
     if want_all or args.standardize:
         if char is None:
-            report["standard"] = {"status": "skipped(budget)"}
+            report["standard"] = missing
         else:
             try:
-                std, cert = charvec.is_standard(G, max_nodes=budget)
+                std, cert = is_standard(G, max_nodes=budget)
                 report["standard"] = {"is_standard": std, "certificate": cert}
             except BudgetExceeded:
                 skipped = True
@@ -210,13 +214,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         except BudgetExceeded:
             skipped = True
             report["roots"] = {"status": "skipped(budget)"}
-    if G.rank <= 16 and G.determinant() == 1:
+    if G.rank <= 16 and unimodular:
         try:
             report["identification"] = identify(G, max_nodes=budget)
         except BudgetExceeded:
             skipped = True
             report["identification"] = None
     sys.stdout.write(_dump_json(report))
+    if want_char and not unimodular:
+        raise CLIError(
+            EXIT_DOMAIN,
+            f"determinant is {det}, not 1: defect, mu and standardness need a unimodular lattice",
+        )
     return EXIT_BUDGET if skipped else EXIT_OK
 
 
@@ -264,12 +273,12 @@ def _v3_expected_minimizers() -> frozenset:
 
 def _run_standard(n: int, budget: int) -> dict:
     G = _vn(n)
-    std, cert = charvec.is_standard(G, max_nodes=budget)
+    std, cert = is_standard(G, max_nodes=budget)
     ok = std and check_orthonormal_certificate(G, cert)
     return {"standard": std, "certificate_ok": ok}
 
 
-def _run_nonstandard_range(budget: int) -> dict:
+def _run_nonstandard_range() -> dict:
     for n in range(3, 31):
         G = _vn(n)
         w1 = witness_vector(n, (1,))
@@ -278,7 +287,7 @@ def _run_nonstandard_range(budget: int) -> dict:
     return {"moduli": "3..30", "all_nonstandard": True}
 
 
-def _run_char_norm_range(budget: int) -> dict:
+def _run_char_norm_range() -> dict:
     for n in range(1, 31):
         G = _vn(n)
         w = char_witness(n)
@@ -287,7 +296,7 @@ def _run_char_norm_range(budget: int) -> dict:
     return {"moduli": "1..30", "all_match": True}
 
 
-def _run_defect_bound_range(budget: int) -> dict:
+def _run_defect_bound_range() -> dict:
     for n in range(6, 31):
         G = _vn(n)
         a = floor3_multiplier(n)
@@ -311,7 +320,7 @@ def _run_v3_minimizers(budget: int) -> dict:
     return {"min_norm": rep.min_norm, "mu": rep.mu, "minimizers_match": match}
 
 
-def _run_v4_dynkin(budget: int) -> dict:
+def _run_v4_dynkin() -> dict:
     G = _vn(4)
     b1, b2 = v4_root_batches()
     ortho = all(inner(G, u, v) == 0 for u in b1 for v in b2)
@@ -324,20 +333,20 @@ def _run_v4_dynkin(budget: int) -> dict:
 
 def _run_gamma4_standard(budget: int) -> dict:
     G = gamma_gram(4)
-    std, cert = charvec.is_standard(G, max_nodes=budget)
+    std, cert = is_standard(G, max_nodes=budget)
     return {
         "standard": std,
         "certificate_ok": std and check_orthonormal_certificate(G, cert),
     }
 
 
-def _run_rational_congruence(budget: int) -> dict:
+def _run_rational_congruence() -> dict:
     values = (sym_power(1), LaurentPoly.zero(), sym_power(5), sym_power(21))
     ok = all(rational_congruence_check(a) for a in values)
     return {"a_values": len(values), "all_pass": ok}
 
 
-def _run_specific(b: int, budget: int) -> dict:
+def _run_specific(b: int) -> dict:
     # lattice varies with the multiplier; the witness is always w - 2 e_1
     a = sym_power(b)
     holds, m, witness_norm = specific_criterion(a)
@@ -354,7 +363,7 @@ def _run_specific(b: int, budget: int) -> dict:
     return {"holds": holds, "m": m, "norms_match": ok}
 
 
-def _run_distinguishing(budget: int) -> dict:
+def _run_distinguishing() -> dict:
     for k in (1, 2, 3):
         bk = b_sequence(k)
         if not reduce_form(build_form_power(k), bk).is_constant():
@@ -413,13 +422,13 @@ def _claim_list(max_n: int, budget: int) -> List[Tuple[str, str, Any, Optional[C
             "thm-new-nonstandard-range",
             "norm 4n-8 characteristic witnesses at moduli 3..30",
             {"moduli": "3..30", "all_nonstandard": True},
-            lambda: _run_nonstandard_range(budget),
+            _run_nonstandard_range,
         ),
         (
             "lemma-char-norm-range",
             "norm-element witness is characteristic of norm 4n at moduli 1..30",
             {"moduli": "1..30", "all_match": True},
-            lambda: _run_char_norm_range(budget),
+            _run_char_norm_range,
         ),
         (
             "defect-exact-n3",
@@ -457,7 +466,7 @@ def _claim_list(max_n: int, budget: int) -> List[Tuple[str, str, Any, Optional[C
             "defect-bound-range",
             "spaced-power witnesses give defect >= floor(n/3) at moduli 6..30",
             {"moduli": "6..30", "all_valid": True},
-            lambda: _run_defect_bound_range(budget),
+            _run_defect_bound_range,
         ),
         (
             "thm-smalln-v3-mu24",
@@ -483,7 +492,7 @@ def _claim_list(max_n: int, budget: int) -> List[Tuple[str, str, Any, Optional[C
             "thm-smalln-v4-dynkin",
             "two orthogonal D8 diagrams inside the modulus-4 transfer",
             {"batch1_d8": True, "batch2_d8": True, "orthogonal": True},
-            lambda: _run_v4_dynkin(budget),
+            _run_v4_dynkin,
         ),
         (
             "thm-smalln-v4-roots",
@@ -531,31 +540,31 @@ def _claim_list(max_n: int, budget: int) -> List[Tuple[str, str, Any, Optional[C
             "lemma-rational-congruence",
             "rational block diagonalization of the rank-4 form",
             {"a_values": 4, "all_pass": True},
-            lambda: _run_rational_congruence(budget),
+            _run_rational_congruence,
         ),
         (
             "lemma-specific-a-x1",
             "sum-of-squares witness for the first power multiplier",
             {"holds": True, "m": 1, "norms_match": True},
-            lambda: _run_specific(1, budget),
+            lambda: _run_specific(1),
         ),
         (
             "lemma-specific-a-x5",
             "sum-of-squares witness for the fifth power multiplier",
             {"holds": True, "m": 5, "norms_match": True},
-            lambda: _run_specific(5, budget),
+            lambda: _run_specific(5),
         ),
         (
             "lemma-specific-a-x21",
             "sum-of-squares witness for the twenty-first power multiplier",
             {"holds": True, "m": 21, "norms_match": True},
-            lambda: _run_specific(21, budget),
+            lambda: _run_specific(21),
         ),
         (
             "distinguishing-powers",
             "lower powers stay nonstandard at the higher modulus while the matching power extends from the integers",
             {"checked": "k=1..3 with all j<k", "all": True},
-            lambda: _run_distinguishing(budget),
+            _run_distinguishing,
         ),
     ]
     return claims

@@ -1,12 +1,17 @@
-"""Root systems, the reference-lattice catalog, and fingerprint identification.
+"""Root systems, the reference-lattice catalog, and identification by the
+rank <= 16 classification.
 
 Roots are the norm-2 vectors of a definite lattice.  Their span decomposes
 into an orthogonal sum of simply-laced root lattices (types A, D, E), and
 each irreducible piece is pinned down by its rank together with its root
 count: A_n has n(n+1) roots, D_n has 2n(n-1), and E6/E7/E8 have 72/126/240.
-The identification of the rank-12 and rank-16 lattices in this package works
-through an invariant fingerprint (rank, parity, determinant, defect, mu,
-root system), never through an isometry search.
+
+Every positive definite unimodular lattice of rank <= 16 is Z^k + L, where
+L has no norm-1 vectors and is one of the eight lattices of Conway & Sloane,
+*Sphere Packings, Lattices and Groups*, ch. 16, Table 16.7: 0, E8, D12+,
+E7^2+, A15+, E8^2, D16+ or D8^2+.  The root system of L determines L, so
+`identify` names a lattice from its norm-1 and norm-2 vectors alone, never
+through an isometry search or reference data computed at run time.
 """
 
 from __future__ import annotations
@@ -14,14 +19,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from hermlat.charvec import min_characteristic
 from hermlat.forms import flatten_vector
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
     GramMatrix,
-    direct_sum,
     enumerate_short,
     inner,
     norm,
@@ -168,9 +171,6 @@ class RootSystemReport:
             ]
         }
 
-    def component_multiset(self) -> Tuple[Tuple[str, int, int], ...]:
-        return self.components
-
 
 def root_vectors(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET):
     """Norm-2 vectors as +/- pair representatives."""
@@ -215,10 +215,10 @@ def _component_type(rank: int, count: int) -> Tuple[str, int]:
     )
 
 
-def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSystemReport:
-    """Connected components of the root graph (edges: nonzero inner product),
-    each typed by its span rank and root count."""
-    pairs = root_vectors(G, max_nodes=max_nodes).pairs
+def _components(G: GramMatrix, pairs: Sequence[Vector]) -> Tuple[Tuple[str, int, int], ...]:
+    """Connected components of the graph on the given root pairs (edges:
+    nonzero inner product), each typed by its span rank and root count,
+    sorted."""
     k = len(pairs)
     parent = list(range(k))
 
@@ -243,11 +243,17 @@ def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSyst
         count = 2 * len(vecs)
         typ, rk = _component_type(rank, count)
         comps.append((typ, rk, count))
-    comps.sort()
+    return tuple(sorted(comps))
+
+
+def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSystemReport:
+    """Connected components of the root graph (edges: nonzero inner product),
+    each typed by its span rank and root count."""
+    pairs = root_vectors(G, max_nodes=max_nodes).pairs
     return RootSystemReport(
-        components=tuple(comps),
-        total_roots=2 * k,
-        spanning_rank=_int_rank(pairs) if pairs else 0,
+        components=_components(G, pairs),
+        total_roots=2 * len(pairs),
+        spanning_rank=_int_rank(pairs),
     )
 
 
@@ -311,131 +317,54 @@ def v4_root_batches() -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
     return batch1, batch2
 
 
-# -- fingerprints ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    rank: int
-    parity: str  # "odd" or "even"
-    determinant: int
-    defect: int
-    mu: int
-    root_system: Tuple[Tuple[str, int, int], ...]
+# -- identification --------------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "parity": self.parity,
-            "determinant": self.determinant,
-            "defect": self.defect,
-            "mu": self.mu,
-            "root_system": [
-                {"type": t, "rank": r, "roots": c} for (t, r, c) in self.root_system
-            ],
-        }
-
-
-def fingerprint(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> Fingerprint:
-    report = min_characteristic(G, max_nodes=max_nodes)
-    rs = root_system(G, max_nodes=max_nodes)
-    return Fingerprint(
-        rank=G.rank,
-        parity="odd" if G.is_odd() else "even",
-        determinant=G.determinant(),
-        defect=report.defect,
-        mu=report.mu,
-        root_system=rs.components,
-    )
-
-
-@dataclass(frozen=True)
-class _StoredPrint:
-    name: str
-    rank: int
-    parity: str
-    determinant: int
-    defect: int
-    mu: Optional[int]  # None: not part of the match
-    root_system: Tuple[Tuple[str, int, int], ...]
-
-    def matches(self, fp: Fingerprint) -> bool:
-        return (
-            self.rank == fp.rank
-            and self.parity == fp.parity
-            and self.determinant == fp.determinant
-            and self.defect == fp.defect
-            and (self.mu is None or self.mu == fp.mu)
-            and self.root_system == fp.root_system
-        )
-
-
-_STORED_CACHE: Dict[int, Tuple[_StoredPrint, ...]] = {}
-
-
-def _store(name: str, G: GramMatrix, mu_override: Optional[int] = None) -> _StoredPrint:
-    fp = fingerprint(G)
-    return _StoredPrint(
-        name,
-        fp.rank,
-        fp.parity,
-        fp.determinant,
-        fp.defect,
-        mu_override if mu_override is not None else fp.mu,
-        fp.root_system,
-    )
-
-
-def _stored_for_rank(rank: int) -> Tuple[_StoredPrint, ...]:
-    if rank in _STORED_CACHE:
-        return _STORED_CACHE[rank]
-    entries: List[_StoredPrint] = []
-    # the standard lattice at every rank; mu = 2^rank closed-form
-    i_fp = _StoredPrint(
-        f"I{rank}",
-        rank,
-        "odd",
-        1,
-        0,
-        2**rank,
-        root_system(identity_gram(rank)).components,
-    )
-    entries.append(i_fp)
-    if rank == 12:
-        entries.append(_store("Gamma12", gamma_gram(12)))
-        entries.append(_store("E8+I4", direct_sum(gamma_gram(8), identity_gram(4))))
-    elif rank == 16:
-        entries.append(_store("Gamma16", gamma_gram(16)))
-        entries.append(_store("E8+E8", direct_sum(gamma_gram(8), gamma_gram(8))))
-        entries.append(_store("E8+I8", direct_sum(gamma_gram(8), identity_gram(8))))
-        entries.append(_store("Gamma12+I4", direct_sum(gamma_gram(12), identity_gram(4))))
-        # the glued pair of D8 copies; no Gram is constructed for it, so mu
-        # stays out of the match
-        entries.append(
-            _StoredPrint(
-                "D8^2[(12)]",
-                16,
-                "odd",
-                1,
-                1,
-                None,
-                (("D", 8, 112), ("D", 8, 112)),
-            )
-        )
-    _STORED_CACHE[rank] = tuple(entries)
-    return _STORED_CACHE[rank]
+# The lattices without norm-1 vectors in SPLAG Table 16.7, keyed by their root
+# systems.  Each root system spans its lattice, so the rank of a core is the
+# sum of its component ranks.
+_CORES: Dict[Tuple[Tuple[str, int, int], ...], str] = {
+    (): "",
+    (("E", 8, 240),): "E8",
+    (("D", 12, 264),): "Gamma12",
+    (("E", 7, 126), ("E", 7, 126)): "E7^2[11]",
+    (("A", 15, 240),): "A15[4]",
+    (("E", 8, 240), ("E", 8, 240)): "E8+E8",
+    (("D", 16, 480),): "Gamma16",
+    (("D", 8, 112), ("D", 8, 112)): "D8^2[(12)]",
+}
 
 
 def identify(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> str:
-    """Fingerprint lookup against the stored reference lattices.
+    """Name a positive definite unimodular lattice of rank <= 16.
 
-    Returns the unique matching name or "unrecognized"; this never asserts an
-    isometry beyond what the invariants distinguish.
+    The lattice is Z^k + L (SPLAG ch. 16, Table 16.7): k is the number of
+    norm-1 pairs, and L is named by the root system of the norm-2 vectors
+    orthogonal to every norm-1 vector.  The result is one of "I{k}", "E8",
+    "Gamma12", "E7^2[11]", "A15[4]", "E8+E8", "Gamma16" or "D8^2[(12)]",
+    the last seven with "+I{k}" appended when k > 0.  Gamma12 = D12+ and
+    Gamma16 = D16+; the bracket gives the glue of the overlattice.
+
+    Raises ValueError for rank > 16, determinant != 1 or a form that is not
+    positive definite.
     """
     if G.rank > 16:
         raise ValueError("identification is supported up to rank 16")
-    fp = fingerprint(G, max_nodes=max_nodes)
-    hits = [s.name for s in _stored_for_rank(G.rank) if s.matches(fp)]
-    if len(hits) == 1:
-        return hits[0]
-    return "unrecognized"
+    if G.determinant() != 1:
+        raise ValueError("identification needs a unimodular lattice (determinant 1)")
+    short = enumerate_short(G, 2, max_nodes=max_nodes).pairs
+    units = [v for v in short if norm(G, v) == 1]
+    core_roots = [
+        v for v in short if norm(G, v) == 2 and all(inner(G, u, v) == 0 for u in units)
+    ]
+    comps = _components(G, core_roots)
+    k = len(units)
+    if comps not in _CORES or sum(r for _, r, _ in comps) != G.rank - k:
+        raise AssertionError(
+            f"rank {G.rank - k} core with root system {comps} is not in SPLAG Table 16.7"
+        )
+    name = _CORES[comps]
+    if not name:
+        return f"I{k}"
+    return f"{name}+I{k}" if k else name

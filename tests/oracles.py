@@ -9,7 +9,7 @@ naive approach stays exact and fast.
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 from typing import List, Optional, Sequence, Set, Tuple
 
 Vec = Tuple[int, ...]
@@ -201,6 +201,58 @@ def gamma_root_count(rank: int) -> int:
             if sum(signs) % 4 == 0:
                 count += 1
     return count
+
+
+# -- overlattices from glue vectors ---------------------------------------------
+#
+# A root lattice plus rational glue vectors spans an overlattice.  Scaling
+# every generator by the common denominator makes them integral; integer row
+# reduction of the scaled generators (Euclid down each column, as in a Hermite
+# normal form) leaves a triangular basis of the same lattice.
+
+
+def _echelon(rows: List[List[int]], ncols: int) -> List[List[int]]:
+    rows = [list(r) for r in rows]
+    basis = []
+    for col in range(ncols):
+        while True:
+            live = [r for r in rows if r[col]]
+            if len(live) <= 1:
+                break
+            piv = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r[:] = [a - q * b for a, b in zip(r, piv)]
+        piv = next(r for r in rows if r[col])
+        rows.remove(piv)
+        basis.append(piv)
+    return basis
+
+
+def glue_overlattice(
+    gram: Sequence[Sequence[int]], glue: Sequence[Sequence[Fraction]]
+) -> List[List[int]]:
+    """Gram matrix of the lattice spanned by the basis of `gram` and the
+    `glue` vectors, given as rational coordinates in that basis."""
+    n = len(gram)
+    den = lcm(*(Fraction(x).denominator for g in glue for x in g))
+    gens = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    gens += [[int(den * Fraction(x)) for x in g] for g in glue]
+    basis = _echelon(gens, n)
+    out = []
+    for u in basis:
+        row = []
+        for v in basis:
+            q = Fraction(
+                sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n)),
+                den * den,
+            )
+            if q.denominator != 1:
+                raise ValueError("glue vectors do not pair integrally")
+            row.append(q.numerator)
+        out.append(row)
+    return out
 
 
 # -- random unimodular basis changes (generator, not an oracle) ----------------

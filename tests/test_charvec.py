@@ -38,6 +38,14 @@ def test_char_rep_even_determinant_rejected():
         char_rep(GramMatrix([[2, 0], [0, 2]]))
 
 
+def test_min_characteristic_rejects_non_unimodular():
+    for rows in ([[2]], [[3]], [[2, 1], [1, 2]]):
+        with pytest.raises(ValueError):
+            min_characteristic(GramMatrix(rows))
+        with pytest.raises(ValueError):
+            is_standard(GramMatrix(rows))
+
+
 def test_is_characteristic(vn):
     V3 = vn(3)
     w = char_witness(3)

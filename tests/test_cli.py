@@ -107,6 +107,21 @@ def test_analyze_rejects_indefinite(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("gram", [[[2]], [[3]], [[2, 1], [1, 2]]])
+def test_analyze_not_unimodular(tmp_path, capsys, gram):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"rank": len(gram), "gram": gram}))
+    code, stdout, err = run(capsys, "analyze", str(path))
+    assert code == 3
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    report = json.loads(stdout)
+    assert "roots" in report and "identification" not in report
+    for section in ("defect", "mu", "standard"):
+        assert report[section] == {"status": "not unimodular"}
+    code, stdout, _ = run(capsys, "analyze", str(path), "--roots")
+    assert code == 0 and set(json.loads(stdout)) == {"rank", "determinant", "parity", "roots"}
+
+
 def test_analyze_budget_exhaustion(tmp_path, capsys):
     form_file, gram_file = tmp_path / "L.json", tmp_path / "V3.json"
     run(capsys, "build", "--k", "1", "--out", str(form_file))

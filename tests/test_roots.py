@@ -1,10 +1,20 @@
-"""Root systems, the reference catalog, and fingerprint identification."""
+"""Root systems, the reference catalog, and identification by the rank <= 16
+classification."""
+
+import random
 
 import pytest
 
-from oracles import frac_det, gamma_root_count
-from hermlat.charvec import defect
-from hermlat.lattice import direct_sum, inner, norm
+from oracles import (
+    apply_basis_change,
+    frac_det,
+    frac_inverse,
+    gamma_root_count,
+    glue_overlattice,
+    random_unimodular,
+)
+from hermlat.charvec import defect, min_characteristic
+from hermlat.lattice import GramMatrix, direct_sum, inner, norm
 from hermlat.roots import (
     a_gram,
     catalog_gram,
@@ -12,7 +22,6 @@ from hermlat.roots import (
     d_gram,
     dynkin_edges,
     e8_gram,
-    fingerprint,
     gamma_gram,
     identify,
     identity_gram,
@@ -118,6 +127,9 @@ def test_root_system_v4(vn):
     rs = root_system(vn(4))
     assert rs.components == (("D", 8, 112), ("D", 8, 112))
     assert rs.spanning_rank == 16
+    rs = root_system(vn(3))
+    assert rs.components == (("D", 12, 264),)
+    assert rs.spanning_rank == 12
 
 
 def test_check_dynkin_on_simple_roots():
@@ -154,25 +166,29 @@ def test_v4_batches(vn):
         assert canonical_rep(v) in roots
 
 
-def test_fingerprint_fields(vn):
-    fp = fingerprint(vn(3))
-    assert fp.rank == 12 and fp.parity == "odd" and fp.determinant == 1
-    assert fp.defect == 1 and fp.mu == 24
-    assert fp.root_system == (("D", 12, 264),)
-    data = fp.to_json_dict()
-    assert data["root_system"] == [{"type": "D", "rank": 12, "roots": 264}]
-
-
 def test_identify_examples(vn):
-    assert identify(vn(3)) == "Gamma12"
+    V3 = vn(3)
+    rep = min_characteristic(V3)
+    assert V3.is_odd() and V3.determinant() == 1
+    assert rep.defect == 1 and rep.mu == 24
+    assert identify(V3) == "Gamma12"
     assert identify(vn(4)) == "D8^2[(12)]"
     assert identify(identity_gram(12)) == "I12"
     assert identify(identity_gram(7)) == "I7"
     assert identify(gamma_gram(12)) == "Gamma12"
     assert identify(direct_sum(gamma_gram(8), identity_gram(4))) == "E8+I4"
-    assert identify(gamma_gram(8)) == "unrecognized"  # not in the stored lists
+    assert identify(gamma_gram(8)) == "E8"
     with pytest.raises(ValueError):
         identify(identity_gram(17))
+
+
+def test_identify_rejects_non_unimodular():
+    with pytest.raises(ValueError):
+        identify(d_gram(8))  # det 4
+    with pytest.raises(ValueError):
+        identify(GramMatrix([[3]]))
+    with pytest.raises(ValueError):
+        identify(GramMatrix([[0, 1], [1, 0]]))  # det -1, indefinite
 
 
 def test_identify_rank16_candidates():
@@ -181,3 +197,55 @@ def test_identify_rank16_candidates():
     assert identify(direct_sum(gamma_gram(8), identity_gram(8))) == "E8+I8"
     assert identify(direct_sum(gamma_gram(12), identity_gram(4))) == "Gamma12+I4"
     assert identify(identity_gram(16)) == "I16"
+
+
+def _glued(blocks, glue):
+    """Overlattice of the direct sum of the simple-root Grams `blocks`; each
+    glue vector is given by one fundamental-weight node (0-based) per block."""
+    R = blocks[0]
+    for G in blocks[1:]:
+        R = direct_sum(R, G)
+    weights = [frac_inverse(G.gram) for G in blocks]
+    vectors = [
+        [x for w, node in zip(weights, nodes) for x in w[node]] for nodes in glue
+    ]
+    return GramMatrix(glue_overlattice(R.gram, vectors))
+
+
+def _e7():
+    edges = dynkin_edges("E", 7)
+    return GramMatrix(
+        [
+            [2 if i == j else (-1 if frozenset((i + 1, j + 1)) in edges else 0) for j in range(7)]
+            for i in range(7)
+        ]
+    )
+
+
+# Node 1 ends the long arm of E7 (minuscule, norm 3/2); node 4 of A15 is
+# omega_4 (norm 3); in D8, node 1 is the vector class v (norm 1) and node 8
+# a spinor class s (norm 2).
+GLUED = {
+    "E7^2[11]": ([_e7(), _e7()], [(0, 0)], 112),
+    "A15[4]": ([a_gram(15)], [(3,)], 240),
+    "D8^2[(12)]": ([d_gram(8), d_gram(8)], [(7, 0), (0, 7)], 512),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GLUED))
+def test_identify_glued_cores(name):
+    blocks, glue, mu = GLUED[name]
+    G = _glued(blocks, glue)
+    rep = min_characteristic(G)
+    assert G.determinant() == 1 and G.is_odd()
+    assert rep.defect == 1 and rep.mu == mu
+    assert identify(G) == name
+
+
+def test_identify_glued_core_plus_units():
+    blocks, glue, _ = GLUED["E7^2[11]"]
+    G = direct_sum(_glued(blocks, glue), identity_gram(2))
+    # the roots +/-e1 +/-e2 of the unit summand are not core roots
+    assert identify(G) == "E7^2[11]+I2"
+    U = random_unimodular(random.Random(7), G.rank, steps=40)
+    assert identify(GramMatrix(apply_basis_change(G.gram, U))) == "E7^2[11]+I2"
