@@ -1,7 +1,9 @@
 """Exact hermitian forms over the integer Laurent ring, their transfers to
 integer lattices over cyclic group rings, and characteristic-vector
 invariants: defect, minimal vectors, standardness certificates, and ADE root
-systems.  All arithmetic is exact (ints and Fractions); nothing is floated."""
+systems.  All arithmetic is exact and nothing is floated: the lattice core
+(LLL, enumeration, eliminations) runs on integers only, and Fractions appear
+only in the rational checks on forms."""
 
 from hermlat.charvec import (
     CharReport,

@@ -23,7 +23,6 @@ from hermlat.lattice import (
     enumerate_short,
     inner,
     norm,
-    unit_pair_count,
 )
 from hermlat.ring import LaurentPoly
 
@@ -131,7 +130,9 @@ def defect(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
 
 
 def is_standard(
-    G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET
+    G: GramMatrix,
+    max_nodes: int = DEFAULT_NODE_BUDGET,
+    report: Optional[CharReport] = None,
 ) -> Tuple[bool, dict]:
     """Decide standardness with an exact certificate either way.
 
@@ -139,18 +140,19 @@ def is_standard(
     U^T G U = I, assembled from the norm-1 vectors); False comes with a
     characteristic vector of norm < rank.  Both outcomes are cross-checked
     against the count of norm-1 pairs, which must equal the rank exactly in
-    the standard case.  Like `min_characteristic`, it raises ValueError
-    unless the determinant is 1.
+    the standard case.  `report` is G's `min_characteristic`, computed here
+    when the caller does not already hold it.  Like `min_characteristic`, it
+    raises ValueError unless the determinant is 1.
     """
-    report = min_characteristic(G, max_nodes=max_nodes)
+    if report is None:
+        report = min_characteristic(G, max_nodes=max_nodes)
     r = G.rank
-    units = unit_pair_count(G, max_nodes=max_nodes)
+    units = enumerate_short(G, 1, max_nodes=max_nodes).pairs
     if report.defect == 0:
-        if units != r:
+        if len(units) != r:
             raise AssertionError("defect 0 but unit-pair count differs from rank")
-        cert = orthonormal_certificate(G, max_nodes=max_nodes)
-        return True, cert
-    if units == r:
+        return True, _orthonormal_columns(G, units)
+    if len(units) == r:
         raise AssertionError("positive defect but a full set of unit pairs")
     w = report.minimizers[0]
     return False, {
@@ -165,8 +167,12 @@ def orthonormal_certificate(
     G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> dict:
     """Columns u_1..u_r with u_i^T G u_j = delta_ij, verified exactly."""
+    return _orthonormal_columns(G, enumerate_short(G, 1, max_nodes=max_nodes).pairs)
+
+
+def _orthonormal_columns(G: GramMatrix, pairs: Sequence[Vector]) -> dict:
+    """The certificate built from the norm-1 pairs of a standard lattice."""
     r = G.rank
-    pairs = enumerate_short(G, 1, max_nodes=max_nodes).pairs
     if len(pairs) != r:
         raise AssertionError("standard lattice must have exactly rank unit pairs")
     for i in range(r):

@@ -198,7 +198,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             report["standard"] = missing
         else:
             try:
-                std, cert = is_standard(G, max_nodes=budget)
+                std, cert = is_standard(G, max_nodes=budget, report=char)
                 report["standard"] = {"is_standard": std, "certificate": cert}
             except BudgetExceeded:
                 skipped = True

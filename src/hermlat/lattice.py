@@ -1,8 +1,9 @@
 """Integral lattice core: exact validation, LLL reduction, and enumeration.
 
-Everything here is exact.  Determinants and principal minors use fraction-free
-Bareiss elimination over Python ints; LLL and the Fincke-Pohst enumerator use
-``fractions.Fraction`` for the Gram-Schmidt data.  No floating point anywhere:
+Everything here is exact and runs on Python integers only.  Determinants and
+principal minors use fraction-free Bareiss elimination; LLL and the
+Fincke-Pohst enumerator work on the integral Gram-Schmidt data (leading minors
+d_i and lam_ij = d_{j+1} mu_ij).  No floating point and no rationals anywhere:
 the downstream standardness and defect certificates rely on exact comparisons.
 
 Enumeration walks a bounded search tree; every visited node counts against a
@@ -13,9 +14,9 @@ caller-supplied node budget (default 10^9) and exhausting it raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, isqrt
-from typing import Dict, List, Sequence, Tuple
+from math import isqrt, lcm
+from operator import mul
+from typing import List, Sequence, Tuple
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -124,13 +125,7 @@ def inner(G: GramMatrix, u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != r or len(v) != r:
         raise ValueError("vector length must match rank")
     g = G.gram
-    total = 0
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        row = g[i]
-        total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj)
-    return total
+    return sum(ui * sum(map(mul, g[i], v)) for i, ui in enumerate(u) if ui)
 
 
 def norm(G: GramMatrix, v: Sequence[int]) -> int:
@@ -223,38 +218,49 @@ def _det_bareiss(gram) -> int:
 # -- LLL ----------------------------------------------------------------------
 
 
-def _gso(gram) -> Tuple[List[List[Fraction]], List[Fraction]]:
-    """Gram-Schmidt data (mu, B) of a quadratic form given only its Gram
-    matrix.  Raises on inputs that are not positive definite."""
+def _integral_gso(gram) -> Tuple[List[int], List[List[int]]]:
+    """Integral Gram-Schmidt data (d, lam) of a Gram matrix (Cohen, *A Course
+    in Computational Algebraic Number Theory*, Alg. 2.6.7, step 2).
+
+    d[0] = 1 and d[i+1] is the leading (i+1)-minor, so the Gram-Schmidt
+    norms are B_i = d[i+1] / d[i]; lam[i][j] = d[j+1] mu_ij for j < i.  All
+    are integers, and every division below is exact.  Raises on inputs that
+    are not positive definite.
+    """
     r = len(gram)
-    mu = [[Fraction(0)] * r for _ in range(r)]
-    B = [Fraction(0)] * r
-    for i in range(r):
-        for j in range(i):
-            s = Fraction(gram[i][j])
-            for k in range(j):
-                s -= mu[j][k] * mu[i][k] * B[k]
-            mu[i][j] = s / B[j]
-        s = Fraction(gram[i][i])
-        for k in range(i):
-            s -= mu[i][k] * mu[i][k] * B[k]
-        if s <= 0:
-            raise ValueError("matrix is not positive definite")
-        B[i] = s
-    return mu, B
+    d = [1] * (r + 1)
+    lam = [[0] * r for _ in range(r)]
+    for k in range(r):
+        lk = lam[k]
+        for j in range(k + 1):
+            lj = lam[j]
+            u = gram[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+            if j < k:
+                lk[j] = u
+            elif u <= 0:
+                raise ValueError("matrix is not positive definite")
+            else:
+                d[k + 1] = u
+    return d, lam
 
 
-def _round_half_up(x: Fraction) -> int:
-    return (x + Fraction(1, 2)).__floor__()
+def _lll_core(gram_in):
+    """Gram-only LLL with the Lovasz constant 3/4.  Returns (gram', U, Uinv)
+    with U^T G U = G' and Uinv = U^{-1}, all integer matrices.
 
-
-def _lll_core(gram_in, delta: Fraction = Fraction(3, 4)):
-    """Gram-only LLL.  Returns (gram', U, Uinv) with U^T G U = G' and
-    Uinv = U^{-1}, all integer matrices."""
+    The integral Gram-Schmidt data are updated in place on each size
+    reduction and swap (Cohen, Alg. 2.6.7).  Row k is reduced against every
+    earlier row, rounding mu = lam / d to floor(mu + 1/2), before the Lovasz
+    test B_k >= (3/4 - mu_{k,k-1}^2) B_{k-1}, which in integers reads
+    4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam_{k,k-1}^2.
+    """
     r = len(gram_in)
     g = [list(row) for row in gram_in]
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     Uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    d, lam = _integral_gso(g)
 
     def row_op(k: int, j: int, q: int) -> None:
         # b_k <- b_k - q b_j
@@ -266,6 +272,10 @@ def _lll_core(gram_in, delta: Fraction = Fraction(3, 4)):
             U[t][k] -= q * U[t][j]
         for t in range(r):
             Uinv[j][t] += q * Uinv[k][t]
+        lk, lj = lam[k], lam[j]
+        for i in range(j):
+            lk[i] -= q * lj[i]
+        lk[j] -= q * d[j + 1]
 
     def swap(k: int) -> None:
         g[k], g[k - 1] = g[k - 1], g[k]
@@ -274,29 +284,35 @@ def _lll_core(gram_in, delta: Fraction = Fraction(3, 4)):
         for t in range(r):
             U[t][k], U[t][k - 1] = U[t][k - 1], U[t][k]
         Uinv[k], Uinv[k - 1] = Uinv[k - 1], Uinv[k]
+        lk, lk1 = lam[k], lam[k - 1]
+        lk[: k - 1], lk1[: k - 1] = lk1[: k - 1], lk[: k - 1]
+        l = lk[k - 1]
+        b = (d[k - 1] * d[k + 1] + l * l) // d[k]
+        for i in range(k + 1, r):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - l * t) // d[k]
+            li[k - 1] = (b * t + l * li[k]) // d[k + 1]
+        d[k] = b
 
-    mu, B = _gso(g)
     k = 1
     while k < r:
         for j in range(k - 1, -1, -1):
-            q = _round_half_up(mu[k][j])
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
             if q != 0:
                 row_op(k, j, q)
-                for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        if B[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * B[k - 1]:
+        l = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * l * l:
             k += 1
         else:
             swap(k)
-            mu, B = _gso(g)
             k = max(k - 1, 1)
     return g, U, Uinv
 
 
-def lll_reduce(G: GramMatrix, delta: Fraction = Fraction(3, 4)):
+def lll_reduce(G: GramMatrix):
     """LLL-reduce, returning (G', U) with U^T G U = G' and |det U| = 1."""
-    g, U, _ = _lll_core(G.gram, delta)
+    g, U, _ = _lll_core(G.gram)
     return GramMatrix(g), tuple(tuple(row) for row in U)
 
 
@@ -339,50 +355,54 @@ class _Budget:
             raise BudgetExceeded(self.used, self.limit)
 
 
-def _enumerate_shifted(gram, t: List[Fraction], bound: Fraction, budget: _Budget):
-    """All integer v with (v+t)^T G (v+t) <= bound, exact arithmetic.
+def _enumerate(gram, parity: Sequence[int], step: int, bound: int, budget: _Budget):
+    """All integer w with w_j = parity_j (mod step) and w^T G w <= bound.
 
-    gram must be positive definite (the GSO computation checks).  Yields
-    lists; the caller copies what it keeps.
+    Fincke-Pohst over the integral Gram-Schmidt data (d, lam).  With
+    x_j = d[j+1] w_j + sum_{i>j} lam_ij w_i the form is
+    sum_j x_j^2 / (d[j] d[j+1]); scaling by M = lcm_j d[j] d[j+1] makes each
+    level's weight W_j = M / (d[j] d[j+1]) an integer, and level j's window
+    is |x_j| <= isqrt(remaining // W_j).  Every level visited counts one node
+    against the budget.  gram must be positive definite.
     """
     r = len(gram)
-    mu, B = _gso(gram)
+    d, lam = _integral_gso(gram)
+    M = lcm(*(d[j] * d[j + 1] for j in range(r)))
+    W = [M // (d[j] * d[j + 1]) for j in range(r)]
+    # column j of lam, zero on rows <= j, where w is still 0 at level j
+    cols = [[lam[i][j] if i > j else 0 for i in range(r)] for j in range(r)]
     sols: List[List[int]] = []
-    if bound < 0:
-        return sols
-    v = [0] * r
-    z = [Fraction(0)] * r  # z[i] = v[i] + t[i] once level i is fixed
+    w = [0] * r
 
-    def rec(j: int, remaining: Fraction) -> None:
+    def rec(j: int, remaining: int) -> None:
         budget.spend()
-        c = t[j]
-        for i in range(j + 1, r):
-            c += mu[i][j] * z[i]
-        s2 = remaining / B[j]
-        # integer window around -c of half-width sqrt(s2), exact via isqrt
-        u = isqrt(s2.numerator * s2.denominator)
-        half = Fraction(u, s2.denominator)  # half <= sqrt(s2) < half + 1/den
-        lo = ceil(-c - half)
-        hi = floor(-c + half)
-        while B[j] * (hi + 1 + c) * (hi + 1 + c) <= remaining:
-            hi += 1
-        while B[j] * (lo - 1 + c) * (lo - 1 + c) <= remaining:
-            lo -= 1
-        for cand in range(lo, hi + 1):
-            used = B[j] * (cand + c) * (cand + c)
-            if used > remaining:
-                continue
-            v[j] = cand
-            z[j] = cand + t[j]
+        e = sum(map(mul, cols[j], w))
+        dj, wj = d[j + 1], W[j]
+        s = isqrt(remaining // wj)
+        lo = -((s + e) // dj)
+        lo += (parity[j] - lo) % step
+        for cand in range(lo, (s - e) // dj + 1, step):
+            w[j] = cand
             if j == 0:
-                sols.append(v.copy())
+                sols.append(w.copy())
             else:
-                rec(j - 1, remaining - used)
-        v[j] = 0
-        z[j] = Fraction(0)
+                x = dj * cand + e
+                rec(j - 1, remaining - wj * x * x)
+        w[j] = 0
 
-    rec(r - 1, Fraction(bound))
+    rec(r - 1, M * bound)
     return sols
+
+
+def _input_pairs(U, sols) -> Tuple[Vector, ...]:
+    """Sorted +/- pair representatives of U w over the solutions w, a set
+    closed under w -> -w: mapping the one w of each pair whose first nonzero
+    coordinate is positive (and the zero vector) covers every pair once."""
+    out = []
+    for w in sols:
+        if next((x for x in w if x), 0) >= 0:
+            out.append(canonical_rep([sum(map(mul, row, w)) for row in U]))
+    return tuple(sorted(out))
 
 
 def _check_definite_input(G: GramMatrix) -> None:
@@ -399,15 +419,8 @@ def enumerate_short(
     _check_definite_input(G)
     g, U, _ = _lll_core(G.gram)
     r = G.rank
-    budget = _Budget(max_nodes)
-    t0 = [Fraction(0)] * r
-    seen: Dict[Vector, None] = {}
-    for v in _enumerate_shifted(g, t0, Fraction(bound), budget):
-        if all(c == 0 for c in v):
-            continue
-        w = tuple(sum(U[i][j] * v[j] for j in range(r)) for i in range(r))
-        seen[canonical_rep(w)] = None
-    return EnumerationResult(bound, tuple(sorted(seen)))
+    sols = _enumerate(g, [0] * r, 1, bound, _Budget(max_nodes))
+    return EnumerationResult(bound, _input_pairs(U, [v for v in sols if any(v)]))
 
 
 def enumerate_coset(
@@ -418,9 +431,9 @@ def enumerate_coset(
 ) -> EnumerationResult:
     """All +/- pairs w with w = c (mod 2) coordinate-wise and |w|^2 <= bound.
 
-    The zero vector is listed (once) exactly when c = 0 mod 2.  Implemented
-    as a shifted enumeration of the sublattice 2Z^r: w = c + 2v means
-    |w|^2 = 4 (v + c/2)^T G (v + c/2).
+    The zero vector is listed (once) exactly when c = 0 mod 2.  The
+    enumeration runs in the LLL basis, where the coset is w = U^-1 c (mod 2),
+    and steps each coordinate through its residue class directly.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -431,14 +444,8 @@ def enumerate_coset(
     g, U, Uinv = _lll_core(G.gram)
     c2 = [ci % 2 for ci in c]
     cr = [sum(Uinv[i][j] * c2[j] for j in range(r)) % 2 for i in range(r)]
-    t = [Fraction(ci, 2) for ci in cr]
-    budget = _Budget(max_nodes)
-    seen: Dict[Vector, None] = {}
-    for v in _enumerate_shifted(g, t, Fraction(bound, 4), budget):
-        wr = [cr[i] + 2 * v[i] for i in range(r)]
-        w = tuple(sum(U[i][j] * wr[j] for j in range(r)) for i in range(r))
-        seen[canonical_rep(w)] = None
-    return EnumerationResult(bound, tuple(sorted(seen)))
+    sols = _enumerate(g, cr, 2, bound, _Budget(max_nodes))
+    return EnumerationResult(bound, _input_pairs(U, sols))
 
 
 def unit_pair_count(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from hermlat.forms import flatten_vector
@@ -180,25 +179,28 @@ def root_vectors(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET):
 
 
 def _int_rank(rows: Sequence[Sequence[int]]) -> int:
-    if not rows:
-        return 0
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
+    """Rank over Q by fraction-free (Bareiss) elimination to echelon form.
+
+    After a pivot step every entry below the pivot rows is a minor of the
+    input, so dividing by the previous pivot is exact.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
     rank = 0
-    row_at = 0
-    for col in range(ncols):
-        sel = next((i for i in range(row_at, nrows) if m[i][col] != 0), None)
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
+        sel = next((i for i in range(rank, nrows) if m[i][col]), None)
         if sel is None:
             continue
-        m[row_at], m[sel] = m[sel], m[row_at]
-        piv = m[row_at][col]
-        for i in range(row_at + 1, nrows):
-            if m[i][col] != 0:
-                f = m[i][col] / piv
-                m[i] = [a - f * b for a, b in zip(m[i], m[row_at])]
+        m[rank], m[sel] = m[sel], m[rank]
+        top = m[rank]
+        piv = top[col]
+        for i in range(rank + 1, nrows):
+            f = m[i][col]
+            m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = piv
         rank += 1
-        row_at += 1
-        if row_at == nrows:
+        if rank == nrows:
             break
     return rank
 

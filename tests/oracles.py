@@ -56,6 +56,22 @@ def frac_det(mat: Sequence[Sequence[int]]) -> Fraction:
     return det
 
 
+def frac_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q by Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def _floor_sqrt_frac(q: Fraction) -> int:
     if q < 0:
         return -1
@@ -109,6 +125,133 @@ def brute_force_coset(
             if _norm(gram, v) <= bound:
                 out.add(_canon(v))
     return out
+
+
+# -- Fraction Gram-Schmidt LLL and Fincke-Pohst enumeration ----------------------
+#
+# The package's original LLL and enumerator, over Fraction Gram-Schmidt data
+# (mu, B) recomputed from scratch after every swap.  The integral core must
+# reproduce them exactly: the same reduced Gram, the same U and U^-1, the same
+# pairs and the same number of search-tree nodes.
+
+
+def frac_gso(gram) -> Tuple[List[List[Fraction]], List[Fraction]]:
+    """Gram-Schmidt data (mu, B) of a Gram matrix; ValueError unless
+    positive definite."""
+    r = len(gram)
+    mu = [[Fraction(0)] * r for _ in range(r)]
+    B = [Fraction(0)] * r
+    for i in range(r):
+        for j in range(i):
+            s = Fraction(gram[i][j])
+            for k in range(j):
+                s -= mu[j][k] * mu[i][k] * B[k]
+            mu[i][j] = s / B[j]
+        s = Fraction(gram[i][i])
+        for k in range(i):
+            s -= mu[i][k] * mu[i][k] * B[k]
+        if s <= 0:
+            raise ValueError("matrix is not positive definite")
+        B[i] = s
+    return mu, B
+
+
+def frac_lll(gram_in):
+    """Gram-only LLL with delta = 3/4: (G', U, U^-1) with U^T G U = G'."""
+    r = len(gram_in)
+    g = [list(row) for row in gram_in]
+    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    Uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    mu, B = frac_gso(g)
+    k = 1
+    while k < r:
+        for j in range(k - 1, -1, -1):
+            q = (mu[k][j] + Fraction(1, 2)).__floor__()
+            if q != 0:
+                for i in range(r):
+                    g[k][i] -= q * g[j][i]
+                for i in range(r):
+                    g[i][k] -= q * g[i][j]
+                for t in range(r):
+                    U[t][k] -= q * U[t][j]
+                    Uinv[j][t] += q * Uinv[k][t]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        if B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]:
+            k += 1
+        else:
+            g[k], g[k - 1] = g[k - 1], g[k]
+            for row in g:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            for t in range(r):
+                U[t][k], U[t][k - 1] = U[t][k - 1], U[t][k]
+            Uinv[k], Uinv[k - 1] = Uinv[k - 1], Uinv[k]
+            mu, B = frac_gso(g)
+            k = max(k - 1, 1)
+    return g, U, Uinv
+
+
+def _frac_shifted(gram, t: List[Fraction], bound: Fraction):
+    """All integer v with (v+t)^T G (v+t) <= bound, and the number of
+    search-tree nodes (one per call of the level recursion)."""
+    r = len(gram)
+    mu, B = frac_gso(gram)
+    sols: List[List[int]] = []
+    nodes = 0
+    v = [0] * r
+    z = [Fraction(0)] * r
+
+    def rec(j: int, remaining: Fraction) -> None:
+        nonlocal nodes
+        nodes += 1
+        c = t[j] + sum(mu[i][j] * z[i] for i in range(j + 1, r))
+        s2 = remaining / B[j]
+        half = Fraction(isqrt(s2.numerator * s2.denominator), s2.denominator)
+        lo, hi = (-c - half).__ceil__(), (-c + half).__floor__()
+        while B[j] * (hi + 1 + c) ** 2 <= remaining:
+            hi += 1
+        while B[j] * (lo - 1 + c) ** 2 <= remaining:
+            lo -= 1
+        for cand in range(lo, hi + 1):
+            v[j] = cand
+            z[j] = cand + t[j]
+            if j == 0:
+                sols.append(v.copy())
+            else:
+                rec(j - 1, remaining - B[j] * (cand + c) ** 2)
+        v[j] = 0
+        z[j] = Fraction(0)
+
+    rec(r - 1, bound)
+    return sols, nodes
+
+
+def frac_enumerate_short(gram, bound: int) -> Tuple[Set[Vec], int]:
+    """Pairs with 0 < norm <= bound after Fraction LLL, and the node count."""
+    r = len(gram)
+    g, U, _ = frac_lll(gram)
+    sols, nodes = _frac_shifted(g, [Fraction(0)] * r, Fraction(bound))
+    out = {
+        _canon([sum(U[i][j] * v[j] for j in range(r)) for i in range(r)])
+        for v in sols
+        if any(v)
+    }
+    return out, nodes
+
+
+def frac_enumerate_coset(gram, c: Sequence[int], bound: int) -> Tuple[Set[Vec], int]:
+    """Pairs w = c (mod 2) with norm <= bound, as the shift w = cr + 2v of the
+    LLL basis (|w|^2 = 4 |v + cr/2|^2), and the node count."""
+    r = len(gram)
+    g, U, Uinv = frac_lll(gram)
+    cr = [sum(Uinv[i][j] * (c[j] % 2) for j in range(r)) % 2 for i in range(r)]
+    sols, nodes = _frac_shifted(g, [Fraction(x, 2) for x in cr], Fraction(bound, 4))
+    out = set()
+    for v in sols:
+        wr = [cr[i] + 2 * v[i] for i in range(r)]
+        out.add(_canon([sum(U[i][j] * wr[j] for j in range(r)) for i in range(r)]))
+    return out, nodes
 
 
 # -- symbolic determinant of the rank-4 family ---------------------------------

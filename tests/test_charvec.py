@@ -114,6 +114,14 @@ def test_is_standard_even_lattice():
     assert cert["vector"] == [0] * 8
 
 
+def test_is_standard_reuses_the_callers_report(vn):
+    for G in (vn(1), vn(2), vn(3), gamma_gram(8)):
+        assert is_standard(G, report=min_characteristic(G)) == is_standard(G)
+    # the report decides which certificate is built
+    with pytest.raises(AssertionError):
+        is_standard(vn(2), report=min_characteristic(vn(3)))
+
+
 def test_orthonormal_certificate_checker(vn):
     cert = orthonormal_certificate(vn(1))
     assert check_orthonormal_certificate(vn(1), cert)

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, file round trips, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +186,10 @@ def test_verify_paper_tampered_input_fails(capsys, monkeypatch):
     code, stdout, _ = run(capsys, "verify-paper", "--max-n", "3")
     assert code == 1
     assert "FAIL" in stdout
+
+
+def test_verify_paper_json_matches_golden(capsys):
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify-paper-max-n-3.json"
+    code, stdout, _ = run(capsys, "verify-paper", "--max-n", "3", "--format", "json")
+    assert code == 0
+    assert stdout.encode("utf-8") == golden.read_bytes()

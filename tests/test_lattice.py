@@ -1,9 +1,22 @@
 """Integer lattices: validation, reduction, exact enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_coset, brute_force_short, frac_det
+from oracles import (
+    apply_basis_change,
+    brute_force_coset,
+    brute_force_short,
+    frac_det,
+    frac_enumerate_coset,
+    frac_enumerate_short,
+    frac_lll,
+    random_unimodular,
+)
+from hermlat.charvec import char_rep
 from hermlat.lattice import (
+    _lll_core,
     BudgetExceeded,
     EnumerationResult,
     GramMatrix,
@@ -17,7 +30,7 @@ from hermlat.lattice import (
     unit_pair_count,
     validate,
 )
-from hermlat.roots import d_gram, gamma_gram, identity_gram
+from hermlat.roots import d_gram, e8_gram, gamma_gram, identity_gram
 
 
 def test_gram_validation():
@@ -191,3 +204,75 @@ def test_canonical_rep():
     assert canonical_rep((-1, 2)) == (1, -2)
     assert canonical_rep((0, -3, 1)) == (0, 3, -1)
     assert canonical_rep((0, 0)) == (0, 0)
+
+
+# -- the integral core against the Fraction oracle --------------------------------
+
+ORACLE_LATTICES = ("V1", "V2", "V3", "V4", "V5", "E8", "Gamma12")
+
+
+def _oracle_lattice(name, vn):
+    if name == "E8":
+        return e8_gram()
+    if name == "Gamma12":
+        return gamma_gram(12)
+    return vn(int(name[1:]))
+
+
+def _assert_visits_exactly(call, count):
+    """call(max_nodes) fits a budget of count nodes and not of count - 1."""
+    call(count)
+    with pytest.raises(BudgetExceeded) as exc:
+        call(count - 1)
+    assert exc.value.nodes == count
+
+
+def _assert_matches_oracle(G):
+    """LLL output, pairs and node counts agree with the Fraction oracle for
+    the norm-2 short vectors and for min_characteristic's first coset."""
+    assert _lll_core(G.gram) == frac_lll(G.gram)
+
+    pairs, nodes = frac_enumerate_short(G.gram, 2)
+    assert set(enumerate_short(G, 2).pairs) == pairs
+    _assert_visits_exactly(lambda m: enumerate_short(G, 2, max_nodes=m), nodes)
+
+    c, bound = char_rep(G), G.rank % 8 or 8
+    pairs, nodes = frac_enumerate_coset(G.gram, c, bound)
+    assert set(enumerate_coset(G, c, bound).pairs) == pairs
+    _assert_visits_exactly(lambda m: enumerate_coset(G, c, bound, max_nodes=m), nodes)
+
+
+@pytest.mark.parametrize("name", ORACLE_LATTICES)
+def test_integral_core_matches_fraction_oracle(name, vn):
+    _assert_matches_oracle(_oracle_lattice(name, vn))
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(st.sampled_from(("V3", "V4", "E8", "Gamma12")), st.randoms(use_true_random=False))
+def test_integral_core_matches_oracle_on_scrambled_bases(vn, name, rng):
+    G = _oracle_lattice(name, vn)
+    U = random_unimodular(rng, G.rank, steps=3 * G.rank)
+    _assert_matches_oracle(GramMatrix(apply_basis_change(G.gram, U)))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1], [1, 0]],
+        [[-1, 0], [0, 1]],
+        [[1, 2], [2, 1]],
+        [[2, 1, 0], [1, 2, 0], [0, 0, 0]],
+        [[2, -1, 0], [-1, 2, -1], [0, -1, -5]],
+    ],
+)
+def test_not_positive_definite_raises(rows):
+    G = GramMatrix(rows)
+    r = G.rank
+    for call in (
+        lambda: _lll_core(G.gram),
+        lambda: lll_reduce(G),
+        lambda: enumerate_short(G, 1),
+        lambda: enumerate_coset(G, [1] * r, 4),
+    ):
+        with pytest.raises(ValueError):
+            call()

@@ -4,11 +4,14 @@ classification."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     apply_basis_change,
     frac_det,
     frac_inverse,
+    frac_rank,
     gamma_root_count,
     glue_overlattice,
     random_unimodular,
@@ -16,6 +19,7 @@ from oracles import (
 from hermlat.charvec import defect, min_characteristic
 from hermlat.lattice import GramMatrix, direct_sum, inner, norm
 from hermlat.roots import (
+    _int_rank,
     a_gram,
     catalog_gram,
     check_dynkin,
@@ -130,6 +134,30 @@ def test_root_system_v4(vn):
     rs = root_system(vn(3))
     assert rs.components == (("D", 12, 264),)
     assert rs.spanning_rank == 12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(0, 8),
+    st.lists(st.integers(-3, 3), min_size=128, max_size=128),
+)
+def test_int_rank_matches_fraction_elimination(nrows, ncols, k, coeffs):
+    # a product of nrows x k and k x ncols factors has rank <= k
+    k = min(k, nrows, ncols)
+    a = [coeffs[i * k : (i + 1) * k] for i in range(nrows)]
+    b = [coeffs[64 + j * ncols : 64 + (j + 1) * ncols] for j in range(k)]
+    rows = [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(ncols)] for i in range(nrows)]
+    assert _int_rank(rows) == frac_rank(rows)
+
+
+def test_int_rank_examples(vn):
+    assert _int_rank([]) == 0
+    assert _int_rank([[0, 0], [0, 0]]) == 0
+    assert _int_rank([[2, 4, 6], [1, 2, 3], [0, 0, 5]]) == 2
+    pairs = root_vectors(vn(4)).pairs
+    assert _int_rank(pairs) == frac_rank(pairs) == 16
 
 
 def test_check_dynkin_on_simple_roots():
