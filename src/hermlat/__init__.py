@@ -32,6 +32,7 @@ from hermlat.forms import (
     sesq_eval,
     substitute_power,
     transfer,
+    transfer_determinant,
 )
 from hermlat.lattice import (
     BudgetExceeded,

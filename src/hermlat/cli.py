@@ -45,6 +45,7 @@ from hermlat.forms import (
     rational_congruence_check,
     reduce_form,
     transfer,
+    transfer_determinant,
 )
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
@@ -147,11 +148,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_transfer(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise CLIError(EXIT_DOMAIN, "modulus must be >= 1")
-    form = _load_form(args.form_file)
-    G = transfer(reduce_form(form, args.n))
+    Gn = reduce_form(_load_form(args.form_file), args.n)
+    G = transfer(Gn)
     _write_json_file(args.out, G.to_json_dict())
     print(f"rank: {G.rank}")
-    print(f"determinant: {G.determinant()}")
+    print(f"determinant: {transfer_determinant(Gn)}")
     return EXIT_OK
 
 

@@ -12,11 +12,18 @@ linear in the first slot and conjugate-linear in the second, so that
 ``transfer`` restricts scalars: a rank-m form over the modulus-n group ring
 becomes a rank m*n integer symmetric matrix on the basis x^j e_i, ordered
 lexicographically with i outermost and j = 0..n-1 innermost.
+
+Determinants over the form's own ring (``form_det`` and the first step of
+``transfer_determinant``) use Berkowitz's algorithm, which never divides and
+so works over Z[C_n] despite its zero divisors.
+``transfer_determinant`` then takes the norm of that determinant, which equals
+det transfer(G) without eliminating the rank m*n Gram.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from hermlat.lattice import GramMatrix
@@ -90,6 +97,8 @@ class HermitianForm:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HermitianForm":
+        if not isinstance(data, dict):
+            raise ValueError("a form must be a JSON object")
         size = data.get("size")
         entries = data.get("entries")
         if not isinstance(size, int) or isinstance(size, bool):
@@ -136,6 +145,9 @@ class CyclicForm:
     def entry(self, i: int, j: int) -> CyclicElement:
         return self._entries[i][j]
 
+    def rows(self) -> Tuple[Tuple[CyclicElement, ...], ...]:
+        return self._entries
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclicForm):
             return NotImplemented
@@ -169,6 +181,8 @@ class CyclicForm:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CyclicForm":
+        if not isinstance(data, dict):
+            raise ValueError("a form must be a JSON object")
         size = data.get("size")
         n = data.get("n")
         entries = data.get("entries")
@@ -253,25 +267,34 @@ def aug_form(G: HermitianForm) -> GramMatrix:
 
 
 def form_det(G: HermitianForm) -> LaurentPoly:
-    """Determinant over the Laurent ring (Laplace expansion; sizes are small)."""
-    return _det([list(row) for row in G.rows()])
+    """Determinant over the Laurent ring (Berkowitz, division-free)."""
+    return _ring_det(G.rows(), LaurentPoly.one())
 
 
-def _det(mat: List[List[LaurentPoly]]) -> LaurentPoly:
-    m = len(mat)
-    if m == 0:
-        return LaurentPoly.one()
-    if m == 1:
-        return mat[0][0]
-    total = LaurentPoly.zero()
-    for j in range(m):
-        c = mat[0][j]
-        if c.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = c * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def _ring_det(mat: Sequence[Sequence], one):
+    """Determinant of a square matrix over any commutative ring whose
+    elements support +, - and *; ``one`` is the ring's unit.
+
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984): with
+    A_k the leading k x k block and A_{k+1} = [[A_k, c], [r, a]], the
+    characteristic polynomial of A_{k+1} is the lower-triangular Toeplitz
+    matrix with first column (1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c)
+    applied to that of A_k.  O(m^4) ring operations and no division, so it
+    runs on rings with zero divisors such as Z[C_n], where Bareiss cannot.
+    """
+    zero = one - one
+    p = [one]  # char. polynomial of the leading block, highest degree first
+    for k in range(len(mat)):
+        block = [row[:k] for row in mat[:k]]
+        r = mat[k][:k]
+        v = [row[k] for row in mat[:k]]
+        q = [one, -mat[k][k]]
+        for step in range(k):
+            if step:
+                v = [sum(map(mul, row, v), zero) for row in block]
+            q.append(-sum(map(mul, r, v), zero))
+        p = [sum(map(mul, q[i::-1], p[: i + 1]), zero) for i in range(k + 2)]
+    return p[-1] if len(mat) % 2 == 0 else -p[-1]
 
 
 # -- module vectors ----------------------------------------------------------
@@ -369,6 +392,19 @@ def transfer(Gn: CyclicForm) -> GramMatrix:
                 for j2 in range(n):
                     row[i2 * n + j2] = coeffs[(j2 - j) % n]
     return GramMatrix(rows)
+
+
+def transfer_determinant(Gn: CyclicForm) -> int:
+    """det transfer(Gn), as the norm N(delta) of delta = det Gn over Z[C_n].
+
+    transfer sends each entry to an n x n circulant, and c -> circulant(c) is
+    a ring map, so the blocks commute and det over Z of the block matrix is
+    det of the circulant of delta (Silvester, Math. Gazette 84, 2000).  delta
+    comes from the division-free ring determinant; its circulant is the
+    transfer of the 1 x 1 form [[delta]], hermitian because Gn is.
+    """
+    delta = _ring_det(Gn.rows(), CyclicElement.one(Gn.n))
+    return transfer(CyclicForm(Gn.n, [[delta]])).determinant()
 
 
 # -- the rational congruence over the Laurent ring ----------------------------

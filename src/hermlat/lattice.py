@@ -85,31 +85,27 @@ class GramMatrix:
         return any(d % 2 for d in self.diagonal())
 
     def determinant(self) -> int:
-        return _det_bareiss(self._gram)
+        return _bareiss(self._gram)[2]
 
     def leading_principal_minors(self) -> List[int]:
-        """Minors of orders 1..rank; computation stops early only on inputs
-        that are already disqualified from positive definiteness."""
-        minors = _bareiss_minors(self._gram)
-        if minors is not None:
-            return minors
-        # zero pivot hit: fall back to independent dets of each corner block
-        return [
-            _det_bareiss(tuple(row[: k + 1] for row in self._gram[: k + 1]))
-            for k in range(self._rank)
+        """Minors of orders 1..rank.  One sweep gives them up to the first
+        zero one; past it, each remaining corner block gets its own sweep."""
+        minors = _bareiss(self._gram)[0]
+        return minors + [
+            _bareiss([row[:k] for row in self._gram[:k]])[2]
+            for k in range(len(minors) + 1, self._rank + 1)
         ]
 
     def is_positive_definite(self) -> bool:
-        minors = _bareiss_minors(self._gram)
-        if minors is None:
-            return False
-        return all(m > 0 for m in minors)
+        return all(m > 0 for m in _bareiss(self._gram)[0])
 
     def to_json_dict(self) -> dict:
         return {"rank": self._rank, "gram": [list(row) for row in self._gram]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GramMatrix":
+        if not isinstance(data, dict):
+            raise ValueError("a Gram matrix must be a JSON object")
         rank = data.get("rank")
         gram = data.get("gram")
         if not isinstance(rank, int) or isinstance(rank, bool):
@@ -173,46 +169,47 @@ def validate(G: GramMatrix, expect: str = "any") -> dict:
 # -- exact elimination --------------------------------------------------------
 
 
-def _bareiss_minors(gram) -> List[int] | None:
-    """Leading principal minors via fraction-free elimination, or None if a
-    zero pivot blocks the pivot-free sweep (then the matrix is certainly not
-    positive definite)."""
-    r = len(gram)
-    m = [list(row) for row in gram]
+def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], int, int]:
+    """One fraction-free (Bareiss) sweep to echelon form: (minors, rank, det).
+
+    Each step takes the first row at or below the current one with a nonzero
+    entry in the column, swaps it up if needed, and eliminates below it;
+    after a step every entry below the pivot rows is a minor of the input, so
+    dividing by the previous pivot is exact.  Until the first swap or empty
+    column the pivot of step k is the leading (k+1)-minor, so ``minors``
+    lists the leading minors up to and including the first zero one (all of
+    them when none is zero).  ``det`` is the determinant of a square input
+    (0 when the rank is short).
+    """
+    m = [list(row) for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
     minors: List[int] = []
-    prev = 1
-    for k in range(r):
-        pivot = m[k][k]
-        if pivot == 0:
-            return None
-        minors.append(pivot)
-        for i in range(k + 1, r):
-            for j in range(k + 1, r):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return minors
-
-
-def _det_bareiss(gram) -> int:
-    r = len(gram)
-    m = [list(row) for row in gram]
+    leading = True
+    rank = 0
     sign = 1
     prev = 1
-    for k in range(r - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, r):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, r):
-            for j in range(k + 1, r):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return sign * m[r - 1][r - 1]
+    for col in range(ncols):
+        if leading:
+            minors.append(m[rank][col])
+        sel = next((i for i in range(rank, nrows) if m[i][col]), None)
+        if sel is None:
+            leading = False
+            continue
+        if sel != rank:
+            leading = False
+            m[rank], m[sel] = m[sel], m[rank]
+            sign = -sign
+        top = m[rank]
+        piv = top[col]
+        for i in range(rank + 1, nrows):
+            f = m[i][col]
+            m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = piv
+        rank += 1
+        if rank == nrows:
+            break
+    det = sign * prev if rank == nrows == ncols else 0
+    return minors, rank, det
 
 
 # -- LLL ----------------------------------------------------------------------

@@ -179,6 +179,8 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, int]) -> "LaurentPoly":
+        if not isinstance(data, dict):
+            raise ValueError("a Laurent polynomial must be a JSON object")
         out: Dict[int, Coeff] = {}
         for k, v in data.items():
             try:
@@ -353,6 +355,8 @@ class CyclicElement:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, object]) -> "CyclicElement":
+        if not isinstance(data, dict):
+            raise ValueError("a cyclic element must be a JSON object")
         n = data.get("n")
         coeffs = data.get("coeffs")
         if not isinstance(n, int) or isinstance(n, bool):

@@ -24,6 +24,7 @@ from hermlat.forms import flatten_vector
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
     GramMatrix,
+    _bareiss,
     enumerate_short,
     inner,
     norm,
@@ -179,30 +180,8 @@ def root_vectors(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET):
 
 
 def _int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination to echelon form.
-
-    After a pivot step every entry below the pivot rows is a minor of the
-    input, so dividing by the previous pivot is exact.
-    """
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    rank = 0
-    prev = 1
-    for col in range(len(m[0]) if m else 0):
-        sel = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        top = m[rank]
-        piv = top[col]
-        for i in range(rank + 1, nrows):
-            f = m[i][col]
-            m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], top)]
-        prev = piv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over Q, from the fraction-free sweep that also gives determinants."""
+    return _bareiss(rows)[1]
 
 
 def _component_type(rank: int, count: int) -> Tuple[str, int]:

@@ -72,6 +72,21 @@ def frac_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def laplace_det(mat: Sequence[Sequence], one):
+    """Cofactor expansion along the first row over any commutative ring
+    (LaurentPoly, CyclicElement, ...); ``one`` is the ring's unit.  m! terms,
+    so only for small m."""
+    m = len(mat)
+    if m == 0:
+        return one
+    total = one - one
+    for j in range(m):
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        term = mat[0][j] * laplace_det(minor, one)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
 def _floor_sqrt_frac(q: Fraction) -> int:
     if q < 0:
         return -1

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import hermlat.cli as cli
+from hermlat.forms import build_form_power, reduce_form, transfer
 from hermlat.lattice import GramMatrix
 
 
@@ -74,6 +75,40 @@ def test_transfer_errors(tmp_path, capsys):
     run(capsys, "transfer", str(form_file), "--n", "2", "--out", str(gram_file))
     code, _, _ = run(capsys, "transfer", str(gram_file), "--n", "2", "--out", str(tmp_path / "x.json"))
     assert code == 2  # wrong file type
+
+
+def test_transfer_determinant_hand_written_form(tmp_path, capsys):
+    form_file, gram_file = tmp_path / "F.json", tmp_path / "G.json"
+    form_file.write_text(json.dumps({"size": 1, "entries": [[{"0": 3, "1": 1, "-1": 1}]]}))
+    code, stdout, _ = run(capsys, "transfer", str(form_file), "--n", "5", "--out", str(gram_file))
+    assert code == 0 and stdout == "rank: 5\ndeterminant: 125\n"
+    assert GramMatrix.from_json_dict(json.loads(gram_file.read_text())).determinant() == 125
+
+
+def test_transfer_large_modulus(tmp_path, capsys):
+    form_file, gram_file = tmp_path / "L.json", tmp_path / "V72.json"
+    run(capsys, "build", "--k", "1", "--out", str(form_file))
+    code, stdout, _ = run(capsys, "transfer", str(form_file), "--n", "72", "--out", str(gram_file))
+    assert code == 0 and stdout == "rank: 288\ndeterminant: 1\n"
+    G = GramMatrix.from_json_dict(json.loads(gram_file.read_text()))
+    assert G == transfer(reduce_form(build_form_power(1), 72))
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("transfer", [1]),
+        ("analyze", [1]),
+        ("transfer", {"size": 1, "entries": [[[1, 2]]]}),
+    ],
+)
+def test_wrong_json_shape_is_a_parse_error(tmp_path, capsys, command, data):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + (["--n", "2", "--out", str(tmp_path / "x.json")] if command == "transfer" else [])
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_analyze_v3(tmp_path, capsys):

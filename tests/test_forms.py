@@ -1,9 +1,12 @@
 """The rank-4 hermitian family, reduction, and the scalar-restriction map."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import symbolic_family_det
+from oracles import frac_det, laplace_det, symbolic_family_det
 from hermlat.forms import (
+    _ring_det,
     CyclicForm,
     HermitianForm,
     aug_form,
@@ -18,6 +21,7 @@ from hermlat.forms import (
     sesq_eval,
     substitute_power,
     transfer,
+    transfer_determinant,
 )
 from hermlat.ring import CyclicElement, LaurentPoly, sym_power
 
@@ -180,3 +184,80 @@ def test_form_json_round_trip():
     assert back.to_json_dict() == data
     Rn = reduce_form(L, 4)
     assert CyclicForm.from_json_dict(Rn.to_json_dict()).to_json_dict() == Rn.to_json_dict()
+    for cls in (HermitianForm, CyclicForm):
+        with pytest.raises(ValueError):
+            cls.from_json_dict([data])
+
+
+# -- the ring determinant and the transfer determinant ------------------------
+
+COEFF = st.integers(-3, 3)
+
+
+@st.composite
+def hermitian_cyclic_forms(draw):
+    """Random hermitian CyclicForm, m 1..5, n 1..9; now and then the last
+    row and column repeat the first, which makes it singular."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    rows = [[None] * m for _ in range(m)]
+    for i in range(m):
+        c = draw(st.lists(COEFF, min_size=n, max_size=n))
+        # c[k] = c[n-k] makes the diagonal entry self-conjugate
+        rows[i][i] = CyclicElement(n, [c[min(k, n - k)] for k in range(n)])
+        for j in range(i + 1, m):
+            e = CyclicElement(n, draw(st.lists(COEFF, min_size=n, max_size=n)))
+            rows[i][j], rows[j][i] = e, e.conj()
+    if m > 1 and draw(st.booleans()):
+        for i in range(m - 1):
+            rows[i][m - 1] = rows[i][0]
+        rows[m - 1] = rows[0][:]
+    return CyclicForm(n, rows)
+
+
+@st.composite
+def hermitian_laurent_forms(draw):
+    """Random HermitianForm, m 1..5, exponents -2..2."""
+    m = draw(st.integers(1, 5))
+    poly = lambda: LaurentPoly(dict(zip(range(-2, 3), draw(st.lists(COEFF, min_size=5, max_size=5)))))
+    rows = [[None] * m for _ in range(m)]
+    for i in range(m):
+        p = poly()
+        rows[i][i] = p + p.conj()
+        for j in range(i + 1, m):
+            rows[i][j] = poly()
+            rows[j][i] = rows[i][j].conj()
+    return HermitianForm(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hermitian_cyclic_forms())
+def test_transfer_determinant_matches_fraction_elimination(Gn):
+    assert transfer_determinant(Gn) == frac_det(transfer(Gn).gram)
+    one = CyclicElement.one(Gn.n)
+    assert _ring_det(Gn.rows(), one) == laplace_det(Gn.rows(), one)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hermitian_laurent_forms(), st.integers(1, 6))
+def test_ring_det_matches_laplace(G, n):
+    delta = form_det(G)
+    assert delta == laplace_det(G.rows(), LaurentPoly.one())
+    # reduction mod x^n - 1 is a ring map, so it commutes with det
+    assert _ring_det(G.reduce(n).rows(), CyclicElement.one(n)) == delta.reduce(n)
+
+
+def test_transfer_determinant_examples():
+    c = lambda n, *coeffs: CyclicElement(n, list(coeffs) + [0] * (n - len(coeffs)))
+    # n = 1 is the integer determinant itself
+    assert transfer_determinant(CyclicForm(1, [[c(1, -1)]])) == -1
+    assert transfer_determinant(CyclicForm(1, [[c(1, 2), c(1, 3)], [c(1, 3), c(1, 2)]])) == -5
+    # the norm element 1 + x + x^2 has norm 0: its circulant is all ones
+    assert transfer_determinant(CyclicForm(3, [[c(3, 1, 1, 1)]])) == 0
+    # a hyperbolic plane spreads to n hyperbolic planes
+    H = lambda n: CyclicForm(n, [[c(n), c(n, 1)], [c(n, 1), c(n)]])
+    assert [transfer_determinant(H(n)) for n in (1, 2, 3)] == [-1, 1, -1]
+    # 3 + x + 1/x at n = 5: prod_k (3 + 2 cos(2 pi k / 5)) = 125
+    assert transfer_determinant(CyclicForm(5, [[c(5, 3, 1, 0, 0, 1)]])) == 125
+    for n in (1, 2, 3, 7):
+        Ln = reduce_form(L, n)
+        assert transfer_determinant(Ln) == transfer(Ln).determinant() == 1

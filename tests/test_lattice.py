@@ -57,6 +57,22 @@ def test_determinant_matches_fraction_elimination():
     assert d_gram(8).determinant() == 4
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 7), st.lists(st.integers(-2, 2), min_size=28, max_size=28))
+def test_one_sweep_matches_fraction_elimination(r, coeffs):
+    # small entries make zero pivots, swaps and singular corners common
+    upper = iter(coeffs)
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            rows[i][j] = rows[j][i] = next(upper)
+    G = GramMatrix(rows)
+    minors = [int(frac_det([row[:k] for row in rows[:k]])) for k in range(1, r + 1)]
+    assert G.determinant() == minors[-1]
+    assert G.leading_principal_minors() == minors
+    assert G.is_positive_definite() == all(m > 0 for m in minors)
+
+
 def test_validate_report(vn):
     rep = validate(vn(1), "unimodular")
     assert rep["determinant"] == 1 and rep["positive_definite"]
