@@ -9,7 +9,6 @@ from hermlat.charvec import (
     CharReport,
     char_rep,
     char_witness,
-    defect,
     defect_certificate_check,
     is_characteristic,
     is_standard,
@@ -44,7 +43,6 @@ from hermlat.lattice import (
     inner,
     lll_reduce,
     norm,
-    unit_pair_count,
     validate,
 )
 from hermlat.ring import (
@@ -63,7 +61,6 @@ from hermlat.roots import (
     identify,
     identity_gram,
     root_system,
-    root_vectors,
 )
 
 __version__ = "0.1.0"

@@ -125,10 +125,6 @@ def min_characteristic(
     return CharReport(mn, d, mu, minimizers, d == 0)
 
 
-def defect(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
-    return min_characteristic(G, max_nodes=max_nodes).defect
-
-
 def is_standard(
     G: GramMatrix,
     max_nodes: int = DEFAULT_NODE_BUDGET,
@@ -163,15 +159,9 @@ def is_standard(
     }
 
 
-def orthonormal_certificate(
-    G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET
-) -> dict:
-    """Columns u_1..u_r with u_i^T G u_j = delta_ij, verified exactly."""
-    return _orthonormal_columns(G, enumerate_short(G, 1, max_nodes=max_nodes).pairs)
-
-
 def _orthonormal_columns(G: GramMatrix, pairs: Sequence[Vector]) -> dict:
-    """The certificate built from the norm-1 pairs of a standard lattice."""
+    """Columns u_1..u_r with u_i^T G u_j = delta_ij, verified exactly: the
+    certificate built from the norm-1 pairs of a standard lattice."""
     r = G.rank
     if len(pairs) != r:
         raise AssertionError("standard lattice must have exactly rank unit pairs")

@@ -204,23 +204,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             except BudgetExceeded:
                 skipped = True
                 report["standard"] = {"status": "skipped(budget)"}
-    if want_all or args.roots:
+    identifiable = G.rank <= 16 and unimodular
+    rs = None
+    if want_all or args.roots or identifiable:
         try:
             rs = root_system(G, max_nodes=budget)
-            report["roots"] = {
-                "components": rs.to_json_dict()["components"],
-                "total_roots": rs.total_roots,
-                "spanning_rank": rs.spanning_rank,
-            }
         except BudgetExceeded:
             skipped = True
-            report["roots"] = {"status": "skipped(budget)"}
-    if G.rank <= 16 and unimodular:
-        try:
-            report["identification"] = identify(G, max_nodes=budget)
-        except BudgetExceeded:
-            skipped = True
-            report["identification"] = None
+    if want_all or args.roots:
+        report["roots"] = {"status": "skipped(budget)"} if rs is None else {
+            "components": rs.to_json_dict()["components"],
+            "total_roots": rs.total_roots,
+            "spanning_rank": rs.spanning_rank,
+        }
+    if identifiable:
+        report["identification"] = None if rs is None else rs.lattice_name(G.rank)
     sys.stdout.write(_dump_json(report))
     if want_char and not unimodular:
         raise CLIError(
@@ -272,11 +270,9 @@ def _v3_expected_minimizers() -> frozenset:
     return frozenset(out)
 
 
-def _run_standard(n: int, budget: int) -> dict:
-    G = _vn(n)
+def _run_standard(G: GramMatrix, budget: int) -> dict:
     std, cert = is_standard(G, max_nodes=budget)
-    ok = std and check_orthonormal_certificate(G, cert)
-    return {"standard": std, "certificate_ok": ok}
+    return {"standard": std, "certificate_ok": std and check_orthonormal_certificate(G, cert)}
 
 
 def _run_nonstandard_range() -> dict:
@@ -329,15 +325,6 @@ def _run_v4_dynkin() -> dict:
         "batch1_d8": check_dynkin(G, b1, "D", 8),
         "batch2_d8": check_dynkin(G, b2, "D", 8),
         "orthogonal": ortho,
-    }
-
-
-def _run_gamma4_standard(budget: int) -> dict:
-    G = gamma_gram(4)
-    std, cert = is_standard(G, max_nodes=budget)
-    return {
-        "standard": std,
-        "certificate_ok": std and check_orthonormal_certificate(G, cert),
     }
 
 
@@ -411,13 +398,13 @@ def _claim_list(max_n: int, budget: int) -> List[Tuple[str, str, Any, Optional[C
             "thm-new-n1-standard",
             "standardness of the transfer at modulus 1",
             {"standard": True, "certificate_ok": True},
-            lambda: _run_standard(1, budget),
+            lambda: _run_standard(_vn(1), budget),
         ),
         (
             "thm-new-n2-standard",
             "standardness of the transfer at modulus 2",
             {"standard": True, "certificate_ok": True},
-            lambda: _run_standard(2, budget),
+            lambda: _run_standard(_vn(2), budget),
         ),
         (
             "thm-new-nonstandard-range",
@@ -535,7 +522,7 @@ def _claim_list(max_n: int, budget: int) -> List[Tuple[str, str, Any, Optional[C
             "catalog-gamma4-standard",
             "the rank-4 overlattice is standard",
             {"standard": True, "certificate_ok": True},
-            lambda: _run_gamma4_standard(budget),
+            lambda: _run_standard(gamma_gram(4), budget),
         ),
         (
             "lemma-rational-congruence",

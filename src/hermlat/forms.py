@@ -38,6 +38,8 @@ class HermitianForm:
     def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
         rows = tuple(tuple(row) for row in entries)
         m = len(rows)
+        if m < 1:
+            raise ValueError("size must be positive")
         if any(len(row) != m for row in rows):
             raise ValueError("entries must form a square matrix")
         for i in range(m):
@@ -121,6 +123,8 @@ class CyclicForm:
     def __init__(self, n: int, entries: Sequence[Sequence[CyclicElement]]):
         rows = tuple(tuple(row) for row in entries)
         m = len(rows)
+        if m < 1:
+            raise ValueError("size must be positive")
         if any(len(row) != m for row in rows):
             raise ValueError("entries must form a square matrix")
         for i in range(m):

@@ -6,6 +6,11 @@ Fincke-Pohst enumerator work on the integral Gram-Schmidt data (leading minors
 d_i and lam_ij = d_{j+1} mu_ij).  No floating point and no rationals anywhere:
 the downstream standardness and defect certificates rely on exact comparisons.
 
+A `GramMatrix` makes its Bareiss sweep (determinant, leading minors,
+definiteness) and its LLL reduction on first use and keeps both as tuples;
+every enumeration of the matrix starts from that one reduction.  Neither
+spends enumeration nodes, so neither counts against a budget.
+
 Enumeration walks a bounded search tree; every visited node counts against a
 caller-supplied node budget (default 10^9) and exhausting it raises
 ``BudgetExceeded`` rather than silently truncating.
@@ -35,7 +40,7 @@ class BudgetExceeded(RuntimeError):
 class GramMatrix:
     """Symmetric integer matrix, the Gram matrix of a based lattice."""
 
-    __slots__ = ("_rank", "_gram")
+    __slots__ = ("_rank", "_gram", "_sweep", "_reduction")
 
     def __init__(self, gram: Sequence[Sequence[int]]):
         rows = tuple(tuple(row) for row in gram)
@@ -54,6 +59,8 @@ class GramMatrix:
                     raise ValueError(f"asymmetric at ({i},{j})")
         self._rank = r
         self._gram = rows
+        self._sweep = None
+        self._reduction = None
 
     @property
     def rank(self) -> int:
@@ -84,20 +91,35 @@ class GramMatrix:
         """Odd lattice: some vector has odd norm (iff some diagonal entry is odd)."""
         return any(d % 2 for d in self.diagonal())
 
+    def _swept(self) -> Tuple[Tuple[int, ...], int, int]:
+        """The `_bareiss` sweep (minors, rank, det), made on first use."""
+        if self._sweep is None:
+            minors, rank, det = _bareiss(self._gram)
+            self._sweep = (tuple(minors), rank, det)
+        return self._sweep
+
+    def _reduced(self):
+        """The `_lll_core` reduction (g, U, Uinv, d, lam), made on first use.
+        Raises ValueError when the matrix is not positive definite."""
+        if self._reduction is None:
+            g, U, Uinv, d, lam = _lll_core(self._gram)
+            self._reduction = (_rows(g), _rows(U), _rows(Uinv), tuple(d), _rows(lam))
+        return self._reduction
+
     def determinant(self) -> int:
-        return _bareiss(self._gram)[2]
+        return self._swept()[2]
 
     def leading_principal_minors(self) -> List[int]:
-        """Minors of orders 1..rank.  One sweep gives them up to the first
+        """Minors of orders 1..rank.  The sweep gives them up to the first
         zero one; past it, each remaining corner block gets its own sweep."""
-        minors = _bareiss(self._gram)[0]
+        minors = list(self._swept()[0])
         return minors + [
             _bareiss([row[:k] for row in self._gram[:k]])[2]
             for k in range(len(minors) + 1, self._rank + 1)
         ]
 
     def is_positive_definite(self) -> bool:
-        return all(m > 0 for m in _bareiss(self._gram)[0])
+        return all(m > 0 for m in self._swept()[0])
 
     def to_json_dict(self) -> dict:
         return {"rank": self._rank, "gram": [list(row) for row in self._gram]}
@@ -215,6 +237,10 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], int, int]:
 # -- LLL ----------------------------------------------------------------------
 
 
+def _rows(m) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(map(tuple, m))
+
+
 def _integral_gso(gram) -> Tuple[List[int], List[List[int]]]:
     """Integral Gram-Schmidt data (d, lam) of a Gram matrix (Cohen, *A Course
     in Computational Algebraic Number Theory*, Alg. 2.6.7, step 2).
@@ -244,8 +270,9 @@ def _integral_gso(gram) -> Tuple[List[int], List[List[int]]]:
 
 
 def _lll_core(gram_in):
-    """Gram-only LLL with the Lovasz constant 3/4.  Returns (gram', U, Uinv)
-    with U^T G U = G' and Uinv = U^{-1}, all integer matrices.
+    """Gram-only LLL with the Lovasz constant 3/4.  Returns (gram', U, Uinv,
+    d, lam) with U^T G U = G', Uinv = U^{-1} and (d, lam) the integral
+    Gram-Schmidt data of G', all integers.
 
     The integral Gram-Schmidt data are updated in place on each size
     reduction and swap (Cohen, Alg. 2.6.7).  Row k is reduced against every
@@ -304,13 +331,13 @@ def _lll_core(gram_in):
         else:
             swap(k)
             k = max(k - 1, 1)
-    return g, U, Uinv
+    return g, U, Uinv, d, lam
 
 
 def lll_reduce(G: GramMatrix):
     """LLL-reduce, returning (G', U) with U^T G U = G' and |det U| = 1."""
-    g, U, _ = _lll_core(G.gram)
-    return GramMatrix(g), tuple(tuple(row) for row in U)
+    g, U = G._reduced()[:2]
+    return GramMatrix(g), U
 
 
 # -- enumeration --------------------------------------------------------------
@@ -352,18 +379,17 @@ class _Budget:
             raise BudgetExceeded(self.used, self.limit)
 
 
-def _enumerate(gram, parity: Sequence[int], step: int, bound: int, budget: _Budget):
+def _enumerate(d, lam, parity: Sequence[int], step: int, bound: int, budget: _Budget):
     """All integer w with w_j = parity_j (mod step) and w^T G w <= bound.
 
-    Fincke-Pohst over the integral Gram-Schmidt data (d, lam).  With
+    Fincke-Pohst over the integral Gram-Schmidt data (d, lam) of G.  With
     x_j = d[j+1] w_j + sum_{i>j} lam_ij w_i the form is
     sum_j x_j^2 / (d[j] d[j+1]); scaling by M = lcm_j d[j] d[j+1] makes each
     level's weight W_j = M / (d[j] d[j+1]) an integer, and level j's window
     is |x_j| <= isqrt(remaining // W_j).  Every level visited counts one node
-    against the budget.  gram must be positive definite.
+    against the budget.
     """
-    r = len(gram)
-    d, lam = _integral_gso(gram)
+    r = len(lam)
     M = lcm(*(d[j] * d[j + 1] for j in range(r)))
     W = [M // (d[j] * d[j + 1]) for j in range(r)]
     # column j of lam, zero on rows <= j, where w is still 0 at level j
@@ -402,21 +428,14 @@ def _input_pairs(U, sols) -> Tuple[Vector, ...]:
     return tuple(sorted(out))
 
 
-def _check_definite_input(G: GramMatrix) -> None:
-    if not G.is_positive_definite():
-        raise ValueError("matrix is not positive definite")
-
-
 def enumerate_short(
     G: GramMatrix, bound: int, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> EnumerationResult:
     """All +/- pairs with 0 < norm <= bound (Fincke-Pohst after LLL)."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    _check_definite_input(G)
-    g, U, _ = _lll_core(G.gram)
-    r = G.rank
-    sols = _enumerate(g, [0] * r, 1, bound, _Budget(max_nodes))
+    _, U, _, d, lam = G._reduced()
+    sols = _enumerate(d, lam, [0] * G.rank, 1, bound, _Budget(max_nodes))
     return EnumerationResult(bound, _input_pairs(U, [v for v in sols if any(v)]))
 
 
@@ -437,14 +456,8 @@ def enumerate_coset(
     r = G.rank
     if len(c) != r:
         raise ValueError("shift length must match rank")
-    _check_definite_input(G)
-    g, U, Uinv = _lll_core(G.gram)
+    _, U, Uinv, d, lam = G._reduced()
     c2 = [ci % 2 for ci in c]
     cr = [sum(Uinv[i][j] * c2[j] for j in range(r)) % 2 for i in range(r)]
-    sols = _enumerate(g, cr, 2, bound, _Budget(max_nodes))
+    sols = _enumerate(d, lam, cr, 2, bound, _Budget(max_nodes))
     return EnumerationResult(bound, _input_pairs(U, sols))
-
-
-def unit_pair_count(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
-    """Number of +/- pairs of norm-1 vectors (the size of the I_k summand)."""
-    return len(enumerate_short(G, 1, max_nodes=max_nodes).pairs)

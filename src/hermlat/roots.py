@@ -6,12 +6,16 @@ into an orthogonal sum of simply-laced root lattices (types A, D, E), and
 each irreducible piece is pinned down by its rank together with its root
 count: A_n has n(n+1) roots, D_n has 2n(n-1), and E6/E7/E8 have 72/126/240.
 
-Every positive definite unimodular lattice of rank <= 16 is Z^k + L, where
-L has no norm-1 vectors and is one of the eight lattices of Conway & Sloane,
-*Sphere Packings, Lattices and Groups*, ch. 16, Table 16.7: 0, E8, D12+,
-E7^2+, A15+, E8^2, D16+ or D8^2+.  The root system of L determines L, so
-`identify` names a lattice from its norm-1 and norm-2 vectors alone, never
-through an isometry search or reference data computed at run time.
+Every positive definite integral lattice is Z^k + L, where k is its number
+of norm-1 pairs and L has no norm-1 vectors.  A root of Z^k meets some unit
+and a root of L meets none, so one bound-2 enumeration and one root graph
+give `root_system` the whole decomposition, k, and the core: the components
+that make up the root system of L.  At determinant 1 and rank <= 16, L is
+one of the eight lattices of Conway & Sloane, *Sphere Packings, Lattices
+and Groups*, ch. 16, Table 16.7: 0, E8, D12+, E7^2+, A15+, E8^2, D16+ or
+D8^2+, and its root system determines it.  So `identify` names a lattice by
+one table lookup on that report, never through an isometry search or
+reference data computed at run time.
 """
 
 from __future__ import annotations
@@ -155,14 +159,34 @@ def catalog_gram(name: str) -> GramMatrix:
 
 # -- roots and components ------------------------------------------------------
 
+# The lattices without norm-1 vectors in SPLAG Table 16.7, keyed by their root
+# systems.  Each root system spans its lattice, so the rank of a core is the
+# sum of its component ranks.
+_CORES: Dict[Tuple[Tuple[str, int, int], ...], str] = {
+    (): "",
+    (("E", 8, 240),): "E8",
+    (("D", 12, 264),): "Gamma12",
+    (("E", 7, 126), ("E", 7, 126)): "E7^2[11]",
+    (("A", 15, 240),): "A15[4]",
+    (("E", 8, 240), ("E", 8, 240)): "E8+E8",
+    (("D", 16, 480),): "Gamma16",
+    (("D", 8, 112), ("D", 8, 112)): "D8^2[(12)]",
+}
+
 
 @dataclass(frozen=True)
 class RootSystemReport:
-    """ADE decomposition of the root sublattice."""
+    """ADE decomposition of the root sublattice of Z^k + L.
+
+    `components` covers every root; `core` lists the components whose roots
+    are orthogonal to all `unit_pairs` = k norm-1 pairs, the root system of L.
+    """
 
     components: Tuple[Tuple[str, int, int], ...]  # (type, rank, root count)
     total_roots: int
     spanning_rank: int
+    unit_pairs: int
+    core: Tuple[Tuple[str, int, int], ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,12 +195,18 @@ class RootSystemReport:
             ]
         }
 
-
-def root_vectors(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET):
-    """Norm-2 vectors as +/- pair representatives."""
-    res = enumerate_short(G, 2, max_nodes=max_nodes)
-    pairs = tuple(v for v in res.pairs if norm(G, v) == 2)
-    return type(res)(2, pairs)
+    def lattice_name(self, rank: int) -> str:
+        """The name of a positive definite unimodular lattice of this rank
+        (<= 16) with this root system; see `identify`."""
+        k = self.unit_pairs
+        if self.core not in _CORES or sum(r for _, r, _ in self.core) != rank - k:
+            raise AssertionError(
+                f"rank {rank - k} core with root system {self.core} is not in SPLAG Table 16.7"
+            )
+        name = _CORES[self.core]
+        if not name:
+            return f"I{k}"
+        return f"{name}+I{k}" if k else name
 
 
 def _int_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -184,22 +214,21 @@ def _int_rank(rows: Sequence[Sequence[int]]) -> int:
     return _bareiss(rows)[1]
 
 
-def _component_type(rank: int, count: int) -> Tuple[str, int]:
+def _component_type(rank: int, count: int) -> Tuple[str, int, int]:
     if count == rank * (rank + 1):
-        return ("A", rank)
+        return ("A", rank, count)
     if rank >= 4 and count == 2 * rank * (rank - 1):
-        return ("D", rank)
+        return ("D", rank, count)
     if (rank, count) in ((6, 72), (7, 126), (8, 240)):
-        return ("E", rank)
+        return ("E", rank, count)
     raise AssertionError(
         f"root component of rank {rank} with {count} roots is not simply laced"
     )
 
 
-def _components(G: GramMatrix, pairs: Sequence[Vector]) -> Tuple[Tuple[str, int, int], ...]:
-    """Connected components of the graph on the given root pairs (edges:
-    nonzero inner product), each typed by its span rank and root count,
-    sorted."""
+def _root_graph(G: GramMatrix, pairs: Sequence[Vector]) -> List[List[Vector]]:
+    """Connected components of the graph on the root pairs (edges: nonzero
+    inner product)."""
     k = len(pairs)
     parent = list(range(k))
 
@@ -218,23 +247,28 @@ def _components(G: GramMatrix, pairs: Sequence[Vector]) -> Tuple[Tuple[str, int,
     groups: Dict[int, List[Vector]] = {}
     for i in range(k):
         groups.setdefault(find(i), []).append(pairs[i])
-    comps = []
-    for vecs in groups.values():
-        rank = _int_rank(vecs)
-        count = 2 * len(vecs)
-        typ, rk = _component_type(rank, count)
-        comps.append((typ, rk, count))
-    return tuple(sorted(comps))
+    return list(groups.values())
 
 
 def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSystemReport:
-    """Connected components of the root graph (edges: nonzero inner product),
-    each typed by its span rank and root count."""
-    pairs = root_vectors(G, max_nodes=max_nodes).pairs
+    """Components of the root graph, each typed by its span rank and root
+    count, with the norm-1 pair count and the core, all from one bound-2
+    enumeration."""
+    units, roots = [], []
+    for v in enumerate_short(G, 2, max_nodes=max_nodes).pairs:
+        (units if norm(G, v) == 1 else roots).append(v)
+    components, core = [], []
+    for vecs in _root_graph(G, roots):
+        comp = _component_type(_int_rank(vecs), 2 * len(vecs))
+        components.append(comp)
+        if not any(inner(G, u, v) for v in vecs for u in units):
+            core.append(comp)
     return RootSystemReport(
-        components=_components(G, pairs),
-        total_roots=2 * len(pairs),
-        spanning_rank=_int_rank(pairs),
+        components=tuple(sorted(components)),
+        total_roots=2 * len(roots),
+        spanning_rank=_int_rank(roots),
+        unit_pairs=len(units),
+        core=tuple(sorted(core)),
     )
 
 
@@ -298,34 +332,18 @@ def v4_root_batches() -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
     return batch1, batch2
 
 
-
-
 # -- identification --------------------------------------------------------------
-
-# The lattices without norm-1 vectors in SPLAG Table 16.7, keyed by their root
-# systems.  Each root system spans its lattice, so the rank of a core is the
-# sum of its component ranks.
-_CORES: Dict[Tuple[Tuple[str, int, int], ...], str] = {
-    (): "",
-    (("E", 8, 240),): "E8",
-    (("D", 12, 264),): "Gamma12",
-    (("E", 7, 126), ("E", 7, 126)): "E7^2[11]",
-    (("A", 15, 240),): "A15[4]",
-    (("E", 8, 240), ("E", 8, 240)): "E8+E8",
-    (("D", 16, 480),): "Gamma16",
-    (("D", 8, 112), ("D", 8, 112)): "D8^2[(12)]",
-}
 
 
 def identify(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> str:
     """Name a positive definite unimodular lattice of rank <= 16.
 
-    The lattice is Z^k + L (SPLAG ch. 16, Table 16.7): k is the number of
-    norm-1 pairs, and L is named by the root system of the norm-2 vectors
-    orthogonal to every norm-1 vector.  The result is one of "I{k}", "E8",
-    "Gamma12", "E7^2[11]", "A15[4]", "E8+E8", "Gamma16" or "D8^2[(12)]",
-    the last seven with "+I{k}" appended when k > 0.  Gamma12 = D12+ and
-    Gamma16 = D16+; the bracket gives the glue of the overlattice.
+    The lattice is Z^k + L (SPLAG ch. 16, Table 16.7), and `root_system`
+    gives k and the root system of L, which names L.  The result is one of
+    "I{k}", "E8", "Gamma12", "E7^2[11]", "A15[4]", "E8+E8", "Gamma16" or
+    "D8^2[(12)]", the last seven with "+I{k}" appended when k > 0.
+    Gamma12 = D12+ and Gamma16 = D16+; the bracket gives the glue of the
+    overlattice.
 
     Raises ValueError for rank > 16, determinant != 1 or a form that is not
     positive definite.
@@ -334,18 +352,4 @@ def identify(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> str:
         raise ValueError("identification is supported up to rank 16")
     if G.determinant() != 1:
         raise ValueError("identification needs a unimodular lattice (determinant 1)")
-    short = enumerate_short(G, 2, max_nodes=max_nodes).pairs
-    units = [v for v in short if norm(G, v) == 1]
-    core_roots = [
-        v for v in short if norm(G, v) == 2 and all(inner(G, u, v) == 0 for u in units)
-    ]
-    comps = _components(G, core_roots)
-    k = len(units)
-    if comps not in _CORES or sum(r for _, r, _ in comps) != G.rank - k:
-        raise AssertionError(
-            f"rank {G.rank - k} core with root system {comps} is not in SPLAG Table 16.7"
-        )
-    name = _CORES[comps]
-    if not name:
-        return f"I{k}"
-    return f"{name}+I{k}" if k else name
+    return root_system(G, max_nodes=max_nodes).lattice_name(G.rank)

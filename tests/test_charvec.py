@@ -6,20 +6,19 @@ from hermlat.charvec import (
     CharReport,
     char_rep,
     char_witness,
+    _orthonormal_columns,
     check_orthonormal_certificate,
-    defect,
     defect_certificate_check,
     floor3_multiplier,
     fold_coeffs,
     is_characteristic,
     is_standard,
     min_characteristic,
-    orthonormal_certificate,
     specific_criterion,
     wa_norm,
     witness_vector,
 )
-from hermlat.lattice import GramMatrix, direct_sum, norm
+from hermlat.lattice import GramMatrix, direct_sum, enumerate_short, norm
 from hermlat.ring import LaurentPoly, sym_power
 from hermlat.roots import gamma_gram, identity_gram
 
@@ -89,9 +88,9 @@ def test_mu_counts_zero_vector_once():
 
 
 def test_defect_examples(vn):
-    assert defect(vn(1)) == 0
-    assert defect(gamma_gram(16)) == 2
-    assert defect(vn(3)) == 1
+    assert min_characteristic(vn(1)).defect == 0
+    assert min_characteristic(gamma_gram(16)).defect == 2
+    assert min_characteristic(vn(3)).defect == 1
 
 
 def test_is_standard_small_n(vn):
@@ -123,7 +122,7 @@ def test_is_standard_reuses_the_callers_report(vn):
 
 
 def test_orthonormal_certificate_checker(vn):
-    cert = orthonormal_certificate(vn(1))
+    cert = _orthonormal_columns(vn(1), enumerate_short(vn(1), 1).pairs)
     assert check_orthonormal_certificate(vn(1), cert)
     bad = {"kind": "orthonormal_basis", "columns": [[1, 0, 0, 0]] * 4}
     assert not check_orthonormal_certificate(vn(1), bad)

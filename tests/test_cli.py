@@ -1,13 +1,19 @@
 """Command line behavior: exit codes, file round trips, determinism."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import hermlat.charvec as charvec
 import hermlat.cli as cli
+import hermlat.lattice as lattice
+import hermlat.roots as roots
+from oracles import apply_basis_change, random_unimodular
 from hermlat.forms import build_form_power, reduce_form, transfer
-from hermlat.lattice import GramMatrix
+from hermlat.lattice import GramMatrix, direct_sum
+from hermlat.roots import e8_gram, identity_gram
 
 
 def run(capsys, *argv):
@@ -100,6 +106,7 @@ def test_transfer_large_modulus(tmp_path, capsys):
         ("transfer", [1]),
         ("analyze", [1]),
         ("transfer", {"size": 1, "entries": [[[1, 2]]]}),
+        ("transfer", {"size": 0, "entries": []}),
     ],
 )
 def test_wrong_json_shape_is_a_parse_error(tmp_path, capsys, command, data):
@@ -123,6 +130,54 @@ def test_analyze_v3(tmp_path, capsys):
     assert report["identification"] == "Gamma12"
     assert report["roots"]["components"] == [{"type": "D", "rank": 12, "roots": 264}]
     assert report["standard"]["is_standard"] is False
+
+
+def test_analyze_e8_plus_i4(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(direct_sum(e8_gram(), identity_gram(4)).to_json_dict()))
+    code, stdout, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    report = json.loads(stdout)
+    # the roots of I4 form a component of their own, but only E8 names the core
+    assert report["roots"] == {
+        "components": [
+            {"type": "D", "rank": 4, "roots": 24},
+            {"type": "E", "rank": 8, "roots": 240},
+        ],
+        "total_roots": 264,
+        "spanning_rank": 12,
+    }
+    assert report["identification"] == "E8+I4"
+
+
+def test_analyze_reduces_once_and_builds_one_root_graph(tmp_path, capsys, monkeypatch, vn):
+    G = GramMatrix(apply_basis_change(vn(4).gram, random_unimodular(random.Random(5), 16, steps=48)))
+    path = tmp_path / "V4.json"
+    path.write_text(json.dumps(G.to_json_dict()))
+    calls = {"lll": 0, "sweeps of the input": 0, "root graphs": 0}
+    bounds = []
+
+    def counted(key, fn, counts=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            calls[key] += counts(*args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def short(G, bound, **kwargs):
+        bounds.append(bound)
+        return lattice.enumerate_short(G, bound, **kwargs)
+
+    monkeypatch.setattr(lattice, "_lll_core", counted("lll", lattice._lll_core))
+    monkeypatch.setattr(
+        lattice, "_bareiss", counted("sweeps of the input", lattice._bareiss, lambda rows: rows == G.gram)
+    )
+    monkeypatch.setattr(roots, "_root_graph", counted("root graphs", roots._root_graph))
+    monkeypatch.setattr(charvec, "enumerate_short", short)
+    monkeypatch.setattr(roots, "enumerate_short", short)
+    code, stdout, _ = run(capsys, "analyze", str(path))
+    assert code == 0 and json.loads(stdout)["identification"] == "D8^2[(12)]"
+    assert calls == {"lll": 1, "sweeps of the input": 1, "root graphs": 1}
+    assert sorted(bounds) == [1, 2]  # is_standard's units, root_system's roots
 
 
 def test_analyze_standard_certificate(tmp_path, capsys):

@@ -56,6 +56,10 @@ def test_hermitian_validation():
     bad = [[LaurentPoly.monomial(1)]]
     with pytest.raises(ValueError):
         HermitianForm(bad)
+    with pytest.raises(ValueError):
+        HermitianForm([])
+    with pytest.raises(ValueError):
+        CyclicForm(3, [])
 
 
 def test_b_sequence():

@@ -16,6 +16,7 @@ from oracles import (
 )
 from hermlat.charvec import char_rep
 from hermlat.lattice import (
+    _integral_gso,
     _lll_core,
     BudgetExceeded,
     EnumerationResult,
@@ -27,7 +28,6 @@ from hermlat.lattice import (
     inner,
     lll_reduce,
     norm,
-    unit_pair_count,
     validate,
 )
 from hermlat.roots import d_gram, e8_gram, gamma_gram, identity_gram
@@ -196,9 +196,9 @@ def test_coset_zero_membership():
 
 
 def test_unit_pair_count(vn):
-    assert unit_pair_count(identity_gram(12)) == 12
-    assert unit_pair_count(gamma_gram(12)) == 0
-    assert unit_pair_count(vn(1)) == 4
+    assert len(enumerate_short(identity_gram(12), 1).pairs) == 12
+    assert len(enumerate_short(gamma_gram(12), 1).pairs) == 0
+    assert len(enumerate_short(vn(1), 1).pairs) == 4
 
 
 def test_budget_exceeded(vn):
@@ -245,8 +245,11 @@ def _assert_visits_exactly(call, count):
 
 def _assert_matches_oracle(G):
     """LLL output, pairs and node counts agree with the Fraction oracle for
-    the norm-2 short vectors and for min_characteristic's first coset."""
-    assert _lll_core(G.gram) == frac_lll(G.gram)
+    the norm-2 short vectors and for min_characteristic's first coset, and
+    the Gram-Schmidt data kept by the reduction are those of its output."""
+    assert _lll_core(G.gram)[:3] == frac_lll(G.gram)
+    g, _, _, d, lam = G._reduced()
+    assert (list(d), [list(row) for row in lam]) == _integral_gso(g)
 
     pairs, nodes = frac_enumerate_short(G.gram, 2)
     assert set(enumerate_short(G, 2).pairs) == pairs

@@ -16,8 +16,8 @@ from oracles import (
     glue_overlattice,
     random_unimodular,
 )
-from hermlat.charvec import defect, min_characteristic
-from hermlat.lattice import GramMatrix, direct_sum, inner, norm
+from hermlat.charvec import min_characteristic
+from hermlat.lattice import GramMatrix, direct_sum, enumerate_short, inner, norm
 from hermlat.roots import (
     _int_rank,
     a_gram,
@@ -30,9 +30,13 @@ from hermlat.roots import (
     identify,
     identity_gram,
     root_system,
-    root_vectors,
     v4_root_batches,
 )
+
+
+def _root_pairs(G):
+    """Norm-2 vectors as +/- pair representatives."""
+    return tuple(v for v in enumerate_short(G, 2).pairs if norm(G, v) == 2)
 
 
 def test_catalog_names():
@@ -54,14 +58,14 @@ def test_gamma8_is_even_unimodular():
 
 def test_gamma4_is_standard_class():
     G = catalog_gram("Gamma(4)")
-    assert defect(G) == 0
+    assert min_characteristic(G).defect == 0
     assert identify(G) == "I4"
 
 
 def test_d8_det_and_roots():
     G = catalog_gram("D(8)")
     assert G.determinant() == 4
-    assert len(root_vectors(G).pairs) == 56
+    assert len(_root_pairs(G)) == 56
 
 
 def test_gamma_parity_alternates():
@@ -93,14 +97,14 @@ def test_dynkin_edges_conventions():
 
 
 def test_root_counts_match_types():
-    assert len(root_vectors(e8_gram()).pairs) == 120
-    assert len(root_vectors(identity_gram(1)).pairs) == 0
-    assert len(root_vectors(a_gram(3)).pairs) == 6  # 12 roots
+    assert len(_root_pairs(e8_gram())) == 120
+    assert len(_root_pairs(identity_gram(1))) == 0
+    assert len(_root_pairs(a_gram(3))) == 6  # 12 roots
 
 
 def test_gamma_root_counts_vs_oracle():
     for rank in (8, 12, 16):
-        got = 2 * len(root_vectors(gamma_gram(rank)).pairs)
+        got = 2 * len(_root_pairs(gamma_gram(rank)))
         assert got == gamma_root_count(rank)
 
 
@@ -108,6 +112,7 @@ def test_root_system_i4():
     rs = root_system(identity_gram(4))
     assert rs.components == (("D", 4, 24),)
     assert rs.total_roots == 24 and rs.spanning_rank == 4
+    assert rs.unit_pairs == 4 and rs.core == ()
 
 
 def test_root_system_e8():
@@ -123,6 +128,7 @@ def test_root_system_gamma12():
 def test_root_system_direct_sum_splits():
     rs = root_system(direct_sum(e8_gram(), identity_gram(4)))
     assert rs.components == (("D", 4, 24), ("E", 8, 240))
+    assert rs.unit_pairs == 4 and rs.core == (("E", 8, 240),)
     rs2 = root_system(direct_sum(a_gram(2), a_gram(2)))
     assert rs2.components == (("A", 2, 6), ("A", 2, 6))
 
@@ -156,7 +162,7 @@ def test_int_rank_examples(vn):
     assert _int_rank([]) == 0
     assert _int_rank([[0, 0], [0, 0]]) == 0
     assert _int_rank([[2, 4, 6], [1, 2, 3], [0, 0, 5]]) == 2
-    pairs = root_vectors(vn(4)).pairs
+    pairs = _root_pairs(vn(4))
     assert _int_rank(pairs) == frac_rank(pairs) == 16
 
 
@@ -187,7 +193,7 @@ def test_v4_batches(vn):
     assert check_dynkin(G, b1, "D", 8)
     assert check_dynkin(G, b2, "D", 8)
     assert all(inner(G, u, v) == 0 for u in b1 for v in b2)
-    roots = set(root_vectors(G).pairs)
+    roots = set(_root_pairs(G))
     from hermlat.lattice import canonical_rep
 
     for v in b1 + b2:
