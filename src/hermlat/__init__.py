@@ -1,9 +1,9 @@
 """Exact hermitian forms over the integer Laurent ring, their transfers to
 integer lattices over cyclic group rings, and characteristic-vector
 invariants: defect, minimal vectors, standardness certificates, and ADE root
-systems.  All arithmetic is exact and nothing is floated: the lattice core
-(LLL, enumeration, eliminations) runs on integers only, and Fractions appear
-only in the rational checks on forms."""
+systems.  All arithmetic is exact and runs on Python integers only, from the
+ring elements and forms to the lattice core (LLL, enumeration,
+eliminations): nothing is floated and no rationals appear."""
 
 from hermlat.charvec import (
     CharReport,
@@ -28,7 +28,6 @@ from hermlat.forms import (
     form_det,
     rational_congruence_check,
     reduce_form,
-    sesq_eval,
     substitute_power,
     transfer,
     transfer_determinant,
@@ -43,7 +42,6 @@ from hermlat.lattice import (
     inner,
     lll_reduce,
     norm,
-    validate,
 )
 from hermlat.ring import (
     CyclicElement,
@@ -54,7 +52,6 @@ from hermlat.ring import (
 )
 from hermlat.roots import (
     RootSystemReport,
-    catalog_gram,
     check_dynkin,
     dynkin_edges,
     gamma_gram,

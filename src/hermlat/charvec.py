@@ -18,7 +18,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
     GramMatrix,
-    canonical_rep,
     enumerate_coset,
     enumerate_short,
     inner,
@@ -160,17 +159,13 @@ def is_standard(
 
 
 def _orthonormal_columns(G: GramMatrix, pairs: Sequence[Vector]) -> dict:
-    """Columns u_1..u_r with u_i^T G u_j = delta_ij, verified exactly: the
-    certificate built from the norm-1 pairs of a standard lattice."""
-    r = G.rank
-    if len(pairs) != r:
-        raise AssertionError("standard lattice must have exactly rank unit pairs")
-    for i in range(r):
-        for j in range(r):
-            expected = 1 if i == j else 0
-            if inner(G, pairs[i], pairs[j]) != expected:
-                raise AssertionError("unit vectors fail orthonormality")
-    return {"kind": "orthonormal_basis", "columns": [list(u) for u in pairs]}
+    """Columns u_1..u_r with u_i^T G u_j = delta_ij, verified exactly by
+    `check_orthonormal_certificate`: the certificate built from the norm-1
+    pairs of a standard lattice."""
+    cert = {"kind": "orthonormal_basis", "columns": [list(u) for u in pairs]}
+    if not check_orthonormal_certificate(G, cert):
+        raise AssertionError("unit pairs are not an orthonormal basis")
+    return cert
 
 
 def check_orthonormal_certificate(G: GramMatrix, cert: dict) -> bool:

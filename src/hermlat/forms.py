@@ -22,9 +22,8 @@ det transfer(G) without eliminating the rank m*n Gram.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from hermlat.lattice import GramMatrix
 from hermlat.ring import CyclicElement, LaurentPoly, sym_power
@@ -68,28 +67,6 @@ class HermitianForm:
 
     def __repr__(self) -> str:
         return f"HermitianForm(size={self._size})"
-
-    def substitute_power(self, d: int) -> "HermitianForm":
-        """Apply x -> x^d to every entry."""
-        return HermitianForm(
-            [[e.substitute_power(d) for e in row] for row in self._entries]
-        )
-
-    def reduce(self, n: int) -> "CyclicForm":
-        return CyclicForm(n, [[e.reduce(n) for e in row] for row in self._entries])
-
-    def aug(self) -> GramMatrix:
-        """Evaluate every entry at x = 1 (an integer symmetric matrix)."""
-        rows = []
-        for row in self._entries:
-            vals = []
-            for e in row:
-                a = e.aug()
-                if not isinstance(a, int):
-                    raise ValueError("augmentation is not integral")
-                vals.append(a)
-            rows.append(vals)
-        return GramMatrix(rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,10 +150,6 @@ class CyclicForm:
         return GramMatrix([[e.pi() for e in row] for row in self._entries])
 
     def to_json_dict(self) -> dict:
-        for row in self._entries:
-            for e in row:
-                if any(not isinstance(c, int) for c in e.coeffs):
-                    raise ValueError("only integer-coefficient forms serialize")
         return {
             "size": self._size,
             "n": self._n,
@@ -259,15 +232,18 @@ def build_form_power(k: int) -> HermitianForm:
 
 
 def substitute_power(G: HermitianForm, d: int) -> HermitianForm:
-    return G.substitute_power(d)
+    """Apply x -> x^d to every entry."""
+    return HermitianForm([[e.substitute_power(d) for e in row] for row in G.rows()])
 
 
 def reduce_form(G: HermitianForm, n: int) -> CyclicForm:
-    return G.reduce(n)
+    """Reduce every entry modulo x^n - 1."""
+    return CyclicForm(n, [[e.reduce(n) for e in row] for row in G.rows()])
 
 
 def aug_form(G: HermitianForm) -> GramMatrix:
-    return G.aug()
+    """Evaluate every entry at x = 1 (an integer symmetric matrix)."""
+    return GramMatrix([[e.aug() for e in row] for row in G.rows()])
 
 
 def form_det(G: HermitianForm) -> LaurentPoly:
@@ -304,72 +280,12 @@ def _ring_det(mat: Sequence[Sequence], one):
 # -- module vectors ----------------------------------------------------------
 
 
-def sesq_eval(G, u: Sequence, v: Sequence):
-    """<u, v> = sum_ij u_i G[i][j] conj(v_j); linear in u, conjugate-linear in v.
-
-    Works for HermitianForm with LaurentPoly vectors and for CyclicForm with
-    CyclicElement vectors; plain ints in u, v are coerced.
-    """
-    m = G.size
-    if len(u) != m or len(v) != m:
-        raise ValueError("vector length must match the form size")
-    if isinstance(G, CyclicForm):
-        coerce = lambda c: _coerce_cyclic(c, G.n)
-        acc = CyclicElement.zero(G.n)
-    else:
-        coerce = _coerce_laurent
-        acc = LaurentPoly.zero()
-    uu = [coerce(c) for c in u]
-    vv = [coerce(c) for c in v]
-    for i in range(m):
-        if uu[i].is_zero():
-            continue
-        for j in range(m):
-            if vv[j].is_zero():
-                continue
-            acc = acc + uu[i] * G.entry(i, j) * vv[j].conj()
-    return acc
-
-
-def _coerce_laurent(c) -> LaurentPoly:
-    if isinstance(c, LaurentPoly):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return LaurentPoly.const(c)
-    raise ValueError("vector entries must be LaurentPoly or scalars")
-
-
-def _coerce_cyclic(c, n: int) -> CyclicElement:
-    if isinstance(c, CyclicElement):
-        if c.n != n:
-            raise ValueError("mixed moduli")
-        return c
-    if isinstance(c, (int, Fraction)):
-        coeffs = [0] * n
-        coeffs[0] = c
-        return CyclicElement(n, coeffs)
-    raise ValueError("vector entries must be CyclicElement or scalars")
-
-
-def module_basis_vector(m: int, i: int, n: int) -> List[CyclicElement]:
-    """e_i (0-based) as a CyclicElement vector of length m, modulus n."""
-    if not 0 <= i < m:
-        raise ValueError("basis index out of range")
-    return [CyclicElement.one(n) if k == i else CyclicElement.zero(n) for k in range(m)]
-
-
 def flatten_vector(vec: Sequence[CyclicElement]) -> Tuple[int, ...]:
     """Coordinates of sum_i a_i(x) e_i on the transfer basis x^j e_i.
 
     Index i*n + j holds the coefficient of x^j in a_i, matching ``transfer``.
     """
-    out: List[int] = []
-    for a in vec:
-        for c in a.coeffs:
-            if not isinstance(c, int):
-                raise ValueError("transfer coordinates must be integral")
-            out.append(c)
-    return tuple(out)
+    return tuple(c for a in vec for c in a.coeffs)
 
 
 # -- restriction of scalars --------------------------------------------------
@@ -387,9 +303,6 @@ def transfer(Gn: CyclicForm) -> GramMatrix:
     for i in range(m):
         for i2 in range(m):
             coeffs = Gn.entry(i, i2).coeffs
-            for c in coeffs:
-                if not isinstance(c, int):
-                    raise ValueError("transfer needs integral entries")
             for j in range(n):
                 base_r = i * n + j
                 row = rows[base_r]
@@ -437,26 +350,28 @@ def rational_congruence_check(a: LaurentPoly) -> bool:
     """Verify P * G * conj(P)^T = diag(1/2, 1/2, 2, 2) exactly, where G is the
     rank-4 form at a and P = [[I, -B/2], [0, I]] with B = [[1+a, a], [a, 1+a]].
 
-    Exact Fraction coefficients throughout; this certifies positive
-    definiteness of the form whenever a is specialised compatibly.
+    The check runs in integers on Q = 2P = [[2I, -B], [0, 2I]], for which the
+    same identity times 4 reads Q * G * conj(Q)^T = diag(2, 2, 8, 8).  This
+    certifies positive definiteness of the form whenever a is specialised
+    compatibly.
     """
     G = build_form(a)
-    one = LaurentPoly.one()
     zero = LaurentPoly.zero()
-    half = LaurentPoly.const(Fraction(1, 2))
-    nb11 = -(half * (one + a))
-    nb12 = -(half * a)
-    P = [
-        [one, zero, nb11, nb12],
-        [zero, one, nb12, nb11],
-        [zero, zero, one, zero],
-        [zero, zero, zero, one],
+    two = LaurentPoly.const(2)
+    eight = LaurentPoly.const(8)
+    nb11 = -(LaurentPoly.one() + a)
+    nb12 = -a
+    Q = [
+        [two, zero, nb11, nb12],
+        [zero, two, nb12, nb11],
+        [zero, zero, two, zero],
+        [zero, zero, zero, two],
     ]
-    M = _mat_mul(_mat_mul(P, [list(r) for r in G.rows()]), _mat_conj_transpose(P))
+    M = _mat_mul(_mat_mul(Q, [list(r) for r in G.rows()]), _mat_conj_transpose(Q))
     D = [
-        [half, zero, zero, zero],
-        [zero, half, zero, zero],
-        [zero, zero, LaurentPoly.const(2), zero],
-        [zero, zero, zero, LaurentPoly.const(2)],
+        [two, zero, zero, zero],
+        [zero, two, zero, zero],
+        [zero, zero, eight, zero],
+        [zero, zero, zero, eight],
     ]
     return M == D

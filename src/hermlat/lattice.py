@@ -160,34 +160,6 @@ def direct_sum(G1: GramMatrix, G2: GramMatrix) -> GramMatrix:
     return GramMatrix(rows)
 
 
-def validate(G: GramMatrix, expect: str = "any") -> dict:
-    """Exact structural report: determinant, definiteness, parity, rank.
-
-    expect is one of {"any", "positive_definite", "unimodular"}; the report's
-    "meets_expectation" field records whether the stated expectation holds
-    (unimodular here means determinant 1 and positive definite).
-    """
-    if expect not in ("any", "positive_definite", "unimodular"):
-        raise ValueError(f"unknown expectation {expect!r}")
-    det = G.determinant()
-    definite = G.is_positive_definite()
-    report = {
-        "rank": G.rank,
-        "symmetric": True,
-        "determinant": det,
-        "positive_definite": definite,
-        "parity": "odd" if G.is_odd() else "even",
-        "unimodular": det == 1 and definite,
-    }
-    if expect == "any":
-        report["meets_expectation"] = True
-    elif expect == "positive_definite":
-        report["meets_expectation"] = definite
-    else:
-        report["meets_expectation"] = report["unimodular"]
-    return report
-
-
 # -- exact elimination --------------------------------------------------------
 
 

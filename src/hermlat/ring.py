@@ -3,25 +3,14 @@
 The two element types here are the coefficient rings for everything else in
 this package: ``LaurentPoly`` models Z[x, 1/x] with the involution x -> 1/x,
 and ``CyclicElement`` models the quotient Z[x, 1/x] / (x^n - 1), i.e. the
-group ring of a cyclic group of order n.  Both are immutable and exact; all
-arithmetic is over Python integers (or ``fractions.Fraction`` where a caller
-needs rational scalars), never floats.
+group ring of a cyclic group of order n.  Both are immutable and exact, and
+their coefficients are Python integers: the constructors reject anything else.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
-
-Coeff = Union[int, Fraction]
-
-
-def _norm_coeff(c: Coeff) -> Coeff:
-    # collapse integral Fractions back to int so equality and repr stay canonical
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+from typing import Dict, Iterable, Mapping, Tuple
 
 
 class LaurentPoly:
@@ -29,15 +18,14 @@ class LaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Coeff] | None = None):
-        clean: Dict[int, Coeff] = {}
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        clean: Dict[int, int] = {}
         if terms:
             for e, c in terms.items():
                 if not isinstance(e, int):
                     raise ValueError("exponent must be an integer")
-                if not isinstance(c, (int, Fraction)):
-                    raise ValueError("coefficient must be int or Fraction")
-                c = _norm_coeff(c)
+                if not isinstance(c, int):
+                    raise ValueError("coefficient must be an integer")
                 if c != 0:
                     clean[e] = c
         self._terms = clean
@@ -53,20 +41,16 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exp: int, coeff: Coeff = 1) -> "LaurentPoly":
+    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
         return cls({exp: coeff})
 
     @classmethod
-    def const(cls, c: Coeff) -> "LaurentPoly":
+    def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
     # -- basic protocol --------------------------------------------------
 
-    @property
-    def terms(self) -> Dict[int, Coeff]:
-        return dict(self._terms)
-
-    def coeff(self, exp: int) -> Coeff:
+    def coeff(self, exp: int) -> int:
         return self._terms.get(exp, 0)
 
     def support(self) -> Tuple[int, ...]:
@@ -76,7 +60,7 @@ class LaurentPoly:
         return not self._terms
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -117,7 +101,7 @@ class LaurentPoly:
         other = _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        out: Dict[int, Coeff] = {}
+        out: Dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
@@ -125,14 +109,6 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers of a general element are not defined")
-        out = LaurentPoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- the structure maps ----------------------------------------------
 
@@ -143,11 +119,11 @@ class LaurentPoly:
     def is_self_conjugate(self) -> bool:
         return self._terms == {-e: c for e, c in self._terms.items()}
 
-    def aug(self) -> Coeff:
+    def aug(self) -> int:
         """Augmentation: evaluate at x = 1."""
-        return _norm_coeff(sum(self._terms.values(), 0))
+        return sum(self._terms.values())
 
-    def pi(self) -> Coeff:
+    def pi(self) -> int:
         """Coefficient of x^0 (projection onto the identity component)."""
         return self._terms.get(0, 0)
 
@@ -155,7 +131,7 @@ class LaurentPoly:
         """Apply x -> x^d.  d may be negative; d = 0 is rejected."""
         if d == 0:
             raise ValueError("substitution x -> x^0 is not a ring map on Z[x,1/x]")
-        out: Dict[int, Coeff] = {}
+        out: Dict[int, int] = {}
         for e, c in self._terms.items():
             out[e * d] = out.get(e * d, 0) + c
         return LaurentPoly(out)
@@ -172,16 +148,13 @@ class LaurentPoly:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> Dict[str, int]:
-        for c in self._terms.values():
-            if not isinstance(c, int):
-                raise ValueError("only integer-coefficient elements serialize")
         return {str(e): self._terms[e] for e in sorted(self._terms)}
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, int]) -> "LaurentPoly":
         if not isinstance(data, dict):
             raise ValueError("a Laurent polynomial must be a JSON object")
-        out: Dict[int, Coeff] = {}
+        out: Dict[int, int] = {}
         for k, v in data.items():
             try:
                 e = int(k)
@@ -196,7 +169,7 @@ class LaurentPoly:
 def _as_laurent(v) -> "LaurentPoly":
     if isinstance(v, LaurentPoly):
         return v
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, int):
         return LaurentPoly.const(v)
     return NotImplemented
 
@@ -216,15 +189,15 @@ class CyclicElement:
 
     __slots__ = ("_n", "_coeffs")
 
-    def __init__(self, n: int, coeffs: Iterable[Coeff]):
+    def __init__(self, n: int, coeffs: Iterable[int]):
         if n < 1:
             raise ValueError("modulus must be a positive integer")
-        cs = tuple(_norm_coeff(c) for c in coeffs)
+        cs = tuple(coeffs)
         if len(cs) != n:
             raise ValueError(f"expected {n} coefficients, got {len(cs)}")
         for c in cs:
-            if not isinstance(c, (int, Fraction)):
-                raise ValueError("coefficient must be int or Fraction")
+            if not isinstance(c, int):
+                raise ValueError("coefficient must be an integer")
         self._n = n
         self._coeffs = cs
 
@@ -239,7 +212,7 @@ class CyclicElement:
         return cls(n, [1] + [0] * (n - 1))
 
     @classmethod
-    def monomial(cls, n: int, exp: int, coeff: Coeff = 1) -> "CyclicElement":
+    def monomial(cls, n: int, exp: int, coeff: int = 1) -> "CyclicElement":
         coeffs = [0] * n
         coeffs[exp % n] = coeff
         return cls(n, coeffs)
@@ -256,10 +229,10 @@ class CyclicElement:
         return self._n
 
     @property
-    def coeffs(self) -> Tuple[Coeff, ...]:
+    def coeffs(self) -> Tuple[int, ...]:
         return self._coeffs
 
-    def coeff(self, exp: int) -> Coeff:
+    def coeff(self, exp: int) -> int:
         return self._coeffs[exp % self._n]
 
     def is_zero(self) -> bool:
@@ -335,22 +308,15 @@ class CyclicElement:
     def is_self_conjugate(self) -> bool:
         return self == self.conj()
 
-    def aug(self) -> Coeff:
-        return _norm_coeff(sum(self._coeffs, 0))
+    def aug(self) -> int:
+        return sum(self._coeffs)
 
-    def pi(self) -> Coeff:
+    def pi(self) -> int:
         return self._coeffs[0]
-
-    def lift(self) -> LaurentPoly:
-        """The obvious preimage with exponents 0..n-1."""
-        return LaurentPoly({j: c for j, c in enumerate(self._coeffs)})
 
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> Dict[str, object]:
-        for c in self._coeffs:
-            if not isinstance(c, int):
-                raise ValueError("only integer-coefficient elements serialize")
         return {"n": self._n, "coeffs": list(self._coeffs)}
 
     @classmethod
@@ -372,7 +338,7 @@ class CyclicElement:
 def _as_cyclic(v, n: int):
     if isinstance(v, CyclicElement):
         return v
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, int):
         coeffs = [0] * n
         coeffs[0] = v
         return CyclicElement(n, coeffs)
@@ -400,7 +366,7 @@ def parse_laurent(text: str) -> LaurentPoly:
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ValueError("empty polynomial")
-    out: Dict[int, Coeff] = {}
+    out: Dict[int, int] = {}
     pos = 0
     first = True
     while pos < len(s):

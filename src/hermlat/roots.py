@@ -1,5 +1,5 @@
-"""Root systems, the reference-lattice catalog, and identification by the
-rank <= 16 classification.
+"""Root systems, the reference lattices I_k and Gamma_4m, and identification
+by the rank <= 16 classification.
 
 Roots are the norm-2 vectors of a definite lattice.  Their span decomposes
 into an orthogonal sum of simply-laced root lattices (types A, D, E), and
@@ -20,7 +20,6 @@ reference data computed at run time.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -38,7 +37,7 @@ from hermlat.ring import CyclicElement
 Vector = Tuple[int, ...]
 
 
-# -- catalog -------------------------------------------------------------------
+# -- reference lattices ---------------------------------------------------------
 
 
 def identity_gram(k: int) -> GramMatrix:
@@ -74,31 +73,6 @@ def dynkin_edges(typ: str, n: int) -> FrozenSet[FrozenSet[int]]:
     raise ValueError(f"unknown type {typ!r}")
 
 
-def _simple_root_gram(typ: str, n: int) -> GramMatrix:
-    edges = dynkin_edges(typ, n)
-    return GramMatrix(
-        [
-            [
-                2 if i == j else (-1 if frozenset((i + 1, j + 1)) in edges else 0)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
-
-
-def a_gram(n: int) -> GramMatrix:
-    return _simple_root_gram("A", n)
-
-
-def d_gram(n: int) -> GramMatrix:
-    return _simple_root_gram("D", n)
-
-
-def e8_gram() -> GramMatrix:
-    return _simple_root_gram("E", 8)
-
-
 def gamma_gram(rank: int) -> GramMatrix:
     """The half-integer overlattice of D_rank, rank = 4m.
 
@@ -130,31 +104,6 @@ def gamma_gram(rank: int) -> GramMatrix:
     if G.determinant() != 1:
         raise AssertionError("half-integer overlattice basis must have det 1")
     return G
-
-
-_CATALOG_NAME = re.compile(r"^(I|A|D|E|Gamma)\(?(\d+)\)?$")
-
-
-def catalog_gram(name: str) -> GramMatrix:
-    """Named reference lattices: I(k), A(n), D(n), E8, Gamma(4m).
-
-    Accepts "D8" and "D(8)" spellings alike.
-    """
-    m = _CATALOG_NAME.match(name.strip())
-    if not m:
-        raise ValueError(f"unknown catalog name {name!r}")
-    typ, num = m.group(1), int(m.group(2))
-    if typ == "I":
-        return identity_gram(num)
-    if typ == "A":
-        return a_gram(num)
-    if typ == "D":
-        return d_gram(num)
-    if typ == "E":
-        if num != 8:
-            raise ValueError("only E8 is in the catalog")
-        return e8_gram()
-    return gamma_gram(num)
 
 
 # -- roots and components ------------------------------------------------------

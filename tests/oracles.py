@@ -5,12 +5,21 @@ cofactor determinants over dense polynomial lists, combinatorial counts from
 closed-form descriptions.  None of it shares code with the package under
 test, so agreement is meaningful.  Sizes are kept small enough that the
 naive approach stays exact and fast.
+
+Two groups are built on the package's own types instead: the Grams of the
+root lattices A_n, D_n and E8, which are GramMatrix objects read off the
+package's ``dynkin_edges``, and ``sesq_eval``, which evaluates the hermitian
+pairing with the package's ring arithmetic, the reference for ``transfer``.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
 from typing import List, Optional, Sequence, Set, Tuple
+
+from hermlat.lattice import GramMatrix
+from hermlat.ring import CyclicElement
+from hermlat.roots import dynkin_edges
 
 Vec = Tuple[int, ...]
 
@@ -331,6 +340,53 @@ def symbolic_family_det() -> List[int]:
         [a, opa, zero, two],
     ]
     return _pdet(mat)
+
+
+# -- root lattice Grams ---------------------------------------------------------
+
+
+def _simple_root_gram(typ: str, n: int) -> GramMatrix:
+    edges = dynkin_edges(typ, n)
+    return GramMatrix(
+        [
+            [
+                2 if i == j else (-1 if frozenset((i + 1, j + 1)) in edges else 0)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+def a_gram(n: int) -> GramMatrix:
+    return _simple_root_gram("A", n)
+
+
+def d_gram(n: int) -> GramMatrix:
+    return _simple_root_gram("D", n)
+
+
+def e8_gram() -> GramMatrix:
+    return _simple_root_gram("E", 8)
+
+
+# -- the hermitian pairing ------------------------------------------------------
+
+
+def sesq_eval(G, u: Sequence, v: Sequence):
+    """<u, v> = sum_ij u_i G[i][j] conj(v_j); linear in u, conjugate-linear in
+    v.  For a HermitianForm with LaurentPoly vectors and for a CyclicForm
+    with CyclicElement vectors."""
+    m = G.size
+    if len(u) != m or len(v) != m:
+        raise ValueError("vector length must match the form size")
+    terms = (u[i] * G.entry(i, j) * v[j].conj() for i in range(m) for j in range(m))
+    return sum(terms, u[0] - u[0])
+
+
+def module_basis_vector(m: int, i: int, n: int) -> List[CyclicElement]:
+    """e_i (0-based) as a CyclicElement vector of length m, modulus n."""
+    return [CyclicElement.one(n) if k == i else CyclicElement.zero(n) for k in range(m)]
 
 
 # -- half-integer overlattice counts -------------------------------------------

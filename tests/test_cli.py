@@ -10,10 +10,10 @@ import hermlat.charvec as charvec
 import hermlat.cli as cli
 import hermlat.lattice as lattice
 import hermlat.roots as roots
-from oracles import apply_basis_change, random_unimodular
+from oracles import apply_basis_change, e8_gram, random_unimodular
 from hermlat.forms import build_form_power, reduce_form, transfer
 from hermlat.lattice import GramMatrix, direct_sum
-from hermlat.roots import e8_gram, identity_gram
+from hermlat.roots import identity_gram
 
 
 def run(capsys, *argv):

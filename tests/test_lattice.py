@@ -8,6 +8,8 @@ from oracles import (
     apply_basis_change,
     brute_force_coset,
     brute_force_short,
+    d_gram,
+    e8_gram,
     frac_det,
     frac_enumerate_coset,
     frac_enumerate_short,
@@ -28,9 +30,8 @@ from hermlat.lattice import (
     inner,
     lll_reduce,
     norm,
-    validate,
 )
-from hermlat.roots import d_gram, e8_gram, gamma_gram, identity_gram
+from hermlat.roots import gamma_gram, identity_gram
 
 
 def test_gram_validation():
@@ -73,20 +74,21 @@ def test_one_sweep_matches_fraction_elimination(r, coeffs):
     assert G.is_positive_definite() == all(m > 0 for m in minors)
 
 
-def test_validate_report(vn):
-    rep = validate(vn(1), "unimodular")
-    assert rep["determinant"] == 1 and rep["positive_definite"]
-    assert rep["parity"] == "odd" and rep["rank"] == 4
-    assert rep["meets_expectation"]
+def test_structure_report(vn):
+    G1 = vn(1)
+    assert G1.rank == 4 and G1.determinant() == 1
+    assert G1.is_positive_definite() and G1.is_odd()
 
-    rep3 = validate(vn(3), "unimodular")
-    assert rep3["rank"] == 12 and rep3["determinant"] == 1
-    assert rep3["positive_definite"] and rep3["parity"] == "odd"
+    G3 = vn(3)
+    assert G3.rank == 12 and G3.determinant() == 1
+    assert G3.is_positive_definite() and G3.is_odd()
 
-    small = validate(GramMatrix([[2, 1], [1, 1]]), "positive_definite")
-    assert small["determinant"] == 1 and small["meets_expectation"]
+    small = GramMatrix([[2, 1], [1, 1]])
+    assert small.determinant() == 1 and small.is_positive_definite()
 
-    assert not validate(GramMatrix([[2, 0], [0, 2]]), "unimodular")["meets_expectation"]
+    # positive definite but not unimodular
+    two = GramMatrix([[2, 0], [0, 2]])
+    assert two.is_positive_definite() and two.determinant() == 4
 
 
 def test_inner_norm(vn):

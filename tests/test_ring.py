@@ -1,5 +1,7 @@
 """Laurent ring and cyclic group-ring arithmetic."""
 
+from fractions import Fraction
+
 import pytest
 
 from hermlat.ring import (
@@ -32,6 +34,14 @@ def test_additive_inverse_is_empty():
 
 def test_zero_coefficients_dropped():
     assert LaurentPoly({5: 0, 1: 2}) == LaurentPoly({1: 2})
+
+
+def test_coefficients_must_be_integers():
+    for bad in (Fraction(1, 2), Fraction(2, 1), 0.5):
+        with pytest.raises(ValueError):
+            LaurentPoly({0: bad})
+        with pytest.raises(ValueError):
+            CyclicElement(2, [bad, 0])
 
 
 def test_conj():

@@ -1,0 +1,54 @@
+"""Static checks over the package sources: unused imports and rationals."""
+
+import ast
+from pathlib import Path
+
+import hermlat
+
+MODULES = sorted(Path(hermlat.__file__).parent.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported_names(tree: ast.Module):
+    """(bound name, line) for every import except `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_unused_imports():
+    # __init__.py imports names to re-export them
+    unused = []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in _imported_names(tree)
+            if name not in used
+        ]
+    assert unused == []
+
+
+def test_no_module_imports_fractions():
+    offenders = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "fractions" for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
