@@ -19,7 +19,6 @@ from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
     GramMatrix,
     enumerate_coset,
-    enumerate_short,
     inner,
     norm,
 )
@@ -36,26 +35,6 @@ class CharReport:
     defect: int
     mu: int
     minimizers: Tuple[Vector, ...]
-    is_standard: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min_norm": self.min_norm,
-            "defect": self.defect,
-            "mu": self.mu,
-            "is_standard": self.is_standard,
-            "minimizers": [list(v) for v in self.minimizers],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CharReport":
-        return cls(
-            data["min_norm"],
-            data["defect"],
-            data["mu"],
-            tuple(tuple(v) for v in data["minimizers"]),
-            data["is_standard"],
-        )
 
 
 def char_rep(G: GramMatrix) -> Vector:
@@ -121,28 +100,23 @@ def min_characteristic(
         raise AssertionError("characteristic norm violates the mod-8 congruence")
     d = (r - mn) // 8
     mu = sum(1 if all(x == 0 for x in v) else 2 for v in minimizers)
-    return CharReport(mn, d, mu, minimizers, d == 0)
+    return CharReport(mn, d, mu, minimizers)
 
 
 def is_standard(
-    G: GramMatrix,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-    report: Optional[CharReport] = None,
+    G: GramMatrix, report: CharReport, units: Sequence[Vector]
 ) -> Tuple[bool, dict]:
-    """Decide standardness with an exact certificate either way.
+    """Decide standardness with an exact certificate either way, from G's
+    `min_characteristic` report and its norm-1 pairs (`root_system(G).units`).
 
-    True comes with an orthonormal basis (columns of a unimodular U with
-    U^T G U = I, assembled from the norm-1 vectors); False comes with a
-    characteristic vector of norm < rank.  Both outcomes are cross-checked
-    against the count of norm-1 pairs, which must equal the rank exactly in
-    the standard case.  `report` is G's `min_characteristic`, computed here
-    when the caller does not already hold it.  Like `min_characteristic`, it
-    raises ValueError unless the determinant is 1.
+    The defect decides: it is 0 exactly for Z^r (Elkies 1995).  True comes
+    with an orthonormal basis (columns of a unimodular U with U^T G U = I,
+    the norm-1 pairs themselves); False comes with a characteristic vector
+    of norm < rank.  Both outcomes are cross-checked against the count of
+    norm-1 pairs, which must equal the rank exactly in the standard case.
+    No enumeration happens here.
     """
-    if report is None:
-        report = min_characteristic(G, max_nodes=max_nodes)
     r = G.rank
-    units = enumerate_short(G, 1, max_nodes=max_nodes).pairs
     if report.defect == 0:
         if len(units) != r:
             raise AssertionError("defect 0 but unit-pair count differs from rank")

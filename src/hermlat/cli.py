@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from hermlat.charvec import (
+    CharReport,
     char_witness,
     check_orthonormal_certificate,
     defect_certificate_check,
@@ -88,7 +89,7 @@ def _load_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CLIError(EXIT_IO, f"cannot read {path}: {exc}")
 
 
@@ -194,23 +195,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             if char is not None
             else missing
         )
-    if want_all or args.standardize:
-        if char is None:
-            report["standard"] = missing
-        else:
-            try:
-                std, cert = is_standard(G, max_nodes=budget, report=char)
-                report["standard"] = {"is_standard": std, "certificate": cert}
-            except BudgetExceeded:
-                skipped = True
-                report["standard"] = {"status": "skipped(budget)"}
+    want_standard = want_all or args.standardize
     identifiable = G.rank <= 16 and unimodular
+    # one bound-2 pass gives the roots, the identification and the unit pairs
     rs = None
-    if want_all or args.roots or identifiable:
+    if want_all or args.roots or identifiable or (want_standard and char is not None):
         try:
             rs = root_system(G, max_nodes=budget)
         except BudgetExceeded:
             skipped = True
+    if want_standard:
+        if char is None:
+            report["standard"] = missing
+        elif rs is None:
+            report["standard"] = {"status": "skipped(budget)"}
+        else:
+            std, cert = is_standard(G, char, rs.units)
+            report["standard"] = {"is_standard": std, "certificate": cert}
     if want_all or args.roots:
         report["roots"] = {"status": "skipped(budget)"} if rs is None else {
             "components": rs.to_json_dict()["components"],
@@ -270,8 +271,14 @@ def _v3_expected_minimizers() -> frozenset:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def _char(G: GramMatrix, budget: int) -> CharReport:
+    """G's `min_characteristic`, enumerated once per lattice and budget."""
+    return min_characteristic(G, max_nodes=budget)
+
+
 def _run_standard(G: GramMatrix, budget: int) -> dict:
-    std, cert = is_standard(G, max_nodes=budget)
+    std, cert = is_standard(G, _char(G, budget), root_system(G, max_nodes=budget).units)
     return {"standard": std, "certificate_ok": std and check_orthonormal_certificate(G, cert)}
 
 
@@ -306,13 +313,8 @@ def _run_defect_bound_range() -> dict:
     return {"moduli": "6..30", "all_valid": True}
 
 
-@lru_cache(maxsize=None)
-def _defect_exact(n: int, budget: int) -> int:
-    return min_characteristic(_vn(n), max_nodes=budget).defect
-
-
 def _run_v3_minimizers(budget: int) -> dict:
-    rep = min_characteristic(_vn(3), max_nodes=budget)
+    rep = _char(_vn(3), budget)
     match = frozenset(rep.minimizers) == _v3_expected_minimizers()
     return {"min_norm": rep.min_norm, "mu": rep.mu, "minimizers_match": match}
 
@@ -378,7 +380,7 @@ def _claim_list(max_n: int, budget: int) -> List[Tuple[str, str, Any, Optional[C
     def defect_runner(n: int) -> Optional[Callable[[], Any]]:
         if n > max_n:
             return None
-        return lambda: _defect_exact(n, budget)
+        return lambda: _char(_vn(n), budget).defect
 
     aug_expected = [[7, 6, 3, 2], [6, 7, 2, 3], [3, 2, 2, 0], [2, 3, 0, 2]]
     claims: List[Tuple[str, str, Any, Optional[Callable[[], Any]]]] = [
@@ -440,7 +442,7 @@ def _claim_list(max_n: int, budget: int) -> List[Tuple[str, str, Any, Optional[C
                 lambda: {
                     "lower": 1,
                     "upper": 2,
-                    "within": 1 <= _defect_exact(5, budget) <= 2,
+                    "within": 1 <= _char(_vn(5), budget).defect <= 2,
                 }
             ),
         ),
@@ -472,9 +474,7 @@ def _claim_list(max_n: int, budget: int) -> List[Tuple[str, str, Any, Optional[C
             "mu-e8-plus-i4",
             "minimal characteristic count of the rank-8 even lattice plus I4",
             16,
-            lambda: min_characteristic(
-                direct_sum(gamma_gram(8), identity_gram(4)), max_nodes=budget
-            ).mu,
+            lambda: _char(direct_sum(gamma_gram(8), identity_gram(4)), budget).mu,
         ),
         (
             "thm-smalln-v4-dynkin",
@@ -502,21 +502,20 @@ def _claim_list(max_n: int, budget: int) -> List[Tuple[str, str, Any, Optional[C
             "defect of the half-integer overlattices of ranks 4,8,12,16",
             [0, 1, 1, 2],
             lambda: [
-                min_characteristic(gamma_gram(4 * m), max_nodes=budget).defect
-                for m in (1, 2, 3, 4)
+                _char(gamma_gram(4 * m), budget).defect for m in (1, 2, 3, 4)
             ],
         ),
         (
             "catalog-mu-gamma12",
             "minimal characteristic count of the rank-12 overlattice",
             24,
-            lambda: min_characteristic(gamma_gram(12), max_nodes=budget).mu,
+            lambda: _char(gamma_gram(12), budget).mu,
         ),
         (
             "catalog-mu-gamma8",
             "minimal characteristic count of the rank-8 overlattice",
             1,
-            lambda: min_characteristic(gamma_gram(8), max_nodes=budget).mu,
+            lambda: _char(gamma_gram(8), budget).mu,
         ),
         (
             "catalog-gamma4-standard",

@@ -149,41 +149,6 @@ class CyclicForm:
             raise ValueError("form is not extended from an integer matrix")
         return GramMatrix([[e.pi() for e in row] for row in self._entries])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "size": self._size,
-            "n": self._n,
-            "entries": [[list(e.coeffs) for e in row] for row in self._entries],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CyclicForm":
-        if not isinstance(data, dict):
-            raise ValueError("a form must be a JSON object")
-        size = data.get("size")
-        n = data.get("n")
-        entries = data.get("entries")
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise ValueError("bad size")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError("bad modulus")
-        if not isinstance(entries, list) or len(entries) != size:
-            raise ValueError("bad entries")
-        rows = []
-        for row in entries:
-            if not isinstance(row, list) or len(row) != size:
-                raise ValueError("bad entries")
-            cells = []
-            for coeffs in row:
-                if not isinstance(coeffs, list):
-                    raise ValueError("bad entry coefficients")
-                for c in coeffs:
-                    if not isinstance(c, int) or isinstance(c, bool):
-                        raise ValueError(f"bad coefficient {c!r}")
-                cells.append(CyclicElement(n, coeffs))
-            rows.append(cells)
-        return cls(n, rows)
-
 
 # -- the rank-4 family -------------------------------------------------------
 

@@ -109,15 +109,6 @@ class GramMatrix:
     def determinant(self) -> int:
         return self._swept()[2]
 
-    def leading_principal_minors(self) -> List[int]:
-        """Minors of orders 1..rank.  The sweep gives them up to the first
-        zero one; past it, each remaining corner block gets its own sweep."""
-        minors = list(self._swept()[0])
-        return minors + [
-            _bareiss([row[:k] for row in self._gram[:k]])[2]
-            for k in range(len(minors) + 1, self._rank + 1)
-        ]
-
     def is_positive_definite(self) -> bool:
         return all(m > 0 for m in self._swept()[0])
 
@@ -321,13 +312,6 @@ class EnumerationResult:
 
     bound: int
     pairs: Tuple[Vector, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"bound": self.bound, "pairs": [list(p) for p in self.pairs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EnumerationResult":
-        return cls(data["bound"], tuple(tuple(p) for p in data["pairs"]))
 
 
 def canonical_rep(v: Sequence[int]) -> Vector:

@@ -314,26 +314,6 @@ class CyclicElement:
     def pi(self) -> int:
         return self._coeffs[0]
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {"n": self._n, "coeffs": list(self._coeffs)}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, object]) -> "CyclicElement":
-        if not isinstance(data, dict):
-            raise ValueError("a cyclic element must be a JSON object")
-        n = data.get("n")
-        coeffs = data.get("coeffs")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError("bad modulus")
-        if not isinstance(coeffs, list):
-            raise ValueError("bad coefficient list")
-        for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"bad coefficient {c!r}")
-        return cls(n, coeffs)
-
 
 def _as_cyclic(v, n: int):
     if isinstance(v, CyclicElement):

@@ -9,13 +9,15 @@ count: A_n has n(n+1) roots, D_n has 2n(n-1), and E6/E7/E8 have 72/126/240.
 Every positive definite integral lattice is Z^k + L, where k is its number
 of norm-1 pairs and L has no norm-1 vectors.  A root of Z^k meets some unit
 and a root of L meets none, so one bound-2 enumeration and one root graph
-give `root_system` the whole decomposition, k, and the core: the components
-that make up the root system of L.  At determinant 1 and rank <= 16, L is
-one of the eight lattices of Conway & Sloane, *Sphere Packings, Lattices
-and Groups*, ch. 16, Table 16.7: 0, E8, D12+, E7^2+, A15+, E8^2, D16+ or
-D8^2+, and its root system determines it.  So `identify` names a lattice by
-one table lookup on that report, never through an isometry search or
-reference data computed at run time.
+give `root_system` the whole decomposition, the k unit pairs, and the core:
+the components that make up the root system of L.  On a standard lattice
+the unit pairs are the orthonormal certificate of `charvec.is_standard`.
+At determinant 1 and rank <= 16, L is one of the eight lattices of Conway
+& Sloane, *Sphere Packings, Lattices and Groups*, ch. 16, Table 16.7: 0,
+E8, D12+, E7^2+, A15+, E8^2, D16+ or D8^2+, and its root system
+determines it.  So `identify` names a lattice by one table lookup on that
+report, never through an isometry search or reference data computed at
+run time.
 """
 
 from __future__ import annotations
@@ -127,14 +129,15 @@ _CORES: Dict[Tuple[Tuple[str, int, int], ...], str] = {
 class RootSystemReport:
     """ADE decomposition of the root sublattice of Z^k + L.
 
-    `components` covers every root; `core` lists the components whose roots
-    are orthogonal to all `unit_pairs` = k norm-1 pairs, the root system of L.
+    `components` covers every root; `units` are the k norm-1 pairs, sorted as
+    `enumerate_short` lists them, and `core` lists the components whose roots
+    are orthogonal to all of them, the root system of L.
     """
 
     components: Tuple[Tuple[str, int, int], ...]  # (type, rank, root count)
     total_roots: int
     spanning_rank: int
-    unit_pairs: int
+    units: Tuple[Vector, ...]
     core: Tuple[Tuple[str, int, int], ...]
 
     def to_json_dict(self) -> dict:
@@ -147,7 +150,7 @@ class RootSystemReport:
     def lattice_name(self, rank: int) -> str:
         """The name of a positive definite unimodular lattice of this rank
         (<= 16) with this root system; see `identify`."""
-        k = self.unit_pairs
+        k = len(self.units)
         if self.core not in _CORES or sum(r for _, r, _ in self.core) != rank - k:
             raise AssertionError(
                 f"rank {rank - k} core with root system {self.core} is not in SPLAG Table 16.7"
@@ -201,7 +204,7 @@ def _root_graph(G: GramMatrix, pairs: Sequence[Vector]) -> List[List[Vector]]:
 
 def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSystemReport:
     """Components of the root graph, each typed by its span rank and root
-    count, with the norm-1 pair count and the core, all from one bound-2
+    count, with the norm-1 pairs and the core, all from one bound-2
     enumeration."""
     units, roots = [], []
     for v in enumerate_short(G, 2, max_nodes=max_nodes).pairs:
@@ -216,7 +219,7 @@ def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSyst
         components=tuple(sorted(components)),
         total_roots=2 * len(roots),
         spanning_rank=_int_rank(roots),
-        unit_pairs=len(units),
+        units=tuple(units),
         core=tuple(sorted(core)),
     )
 

@@ -59,7 +59,7 @@ def test_criterion_01_construction_fidelity():
 def test_criterion_02_small_moduli_standard(vn):
     t0 = timed()
     for n in (1, 2):
-        ok, cert = is_standard(vn(n))
+        ok, cert = is_standard(vn(n), min_characteristic(vn(n)), root_system(vn(n)).units)
         assert ok
         assert check_orthonormal_certificate(vn(n), cert)
     assert timed() - t0 < 10
@@ -145,8 +145,9 @@ def test_criterion_08_overlattice_catalog():
     ]
     assert min_characteristic(gamma_gram(12)).mu == 24
     assert min_characteristic(gamma_gram(8)).mu == 1
-    ok, cert = is_standard(gamma_gram(4))
-    assert ok and check_orthonormal_certificate(gamma_gram(4), cert)
+    G4 = gamma_gram(4)
+    ok, cert = is_standard(G4, min_characteristic(G4), root_system(G4).units)
+    assert ok and check_orthonormal_certificate(G4, cert)
     assert timed() - t0 < 180
 
 

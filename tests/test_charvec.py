@@ -3,7 +3,6 @@
 import pytest
 
 from hermlat.charvec import (
-    CharReport,
     char_rep,
     char_witness,
     _orthonormal_columns,
@@ -20,7 +19,11 @@ from hermlat.charvec import (
 )
 from hermlat.lattice import GramMatrix, direct_sum, enumerate_short, norm
 from hermlat.ring import LaurentPoly, sym_power
-from hermlat.roots import gamma_gram, identity_gram
+from hermlat.roots import gamma_gram, identity_gram, root_system
+
+
+def _standard(G):
+    return is_standard(G, min_characteristic(G), root_system(G).units)
 
 
 def test_char_rep_examples(vn):
@@ -41,8 +44,6 @@ def test_min_characteristic_rejects_non_unimodular():
     for rows in ([[2]], [[3]], [[2, 1], [1, 2]]):
         with pytest.raises(ValueError):
             min_characteristic(GramMatrix(rows))
-        with pytest.raises(ValueError):
-            is_standard(GramMatrix(rows))
 
 
 def test_is_characteristic(vn):
@@ -58,7 +59,6 @@ def test_is_characteristic(vn):
 def test_min_characteristic_i4():
     rep = min_characteristic(identity_gram(4))
     assert rep.min_norm == 4 and rep.mu == 16 and rep.defect == 0
-    assert rep.is_standard
     assert len(rep.minimizers) == 8
 
 
@@ -94,13 +94,13 @@ def test_defect_examples(vn):
 
 
 def test_is_standard_small_n(vn):
-    ok, cert = is_standard(vn(2))
+    ok, cert = _standard(vn(2))
     assert ok and cert["kind"] == "orthonormal_basis" and len(cert["columns"]) == 8
     assert check_orthonormal_certificate(vn(2), cert)
 
 
 def test_is_standard_v3_witness(vn):
-    ok, cert = is_standard(vn(3))
+    ok, cert = _standard(vn(3))
     assert not ok
     assert cert["kind"] == "characteristic_witness"
     assert cert["norm"] == 4 and cert["rank"] == 12
@@ -108,17 +108,18 @@ def test_is_standard_v3_witness(vn):
 
 
 def test_is_standard_even_lattice():
-    ok, cert = is_standard(gamma_gram(8))
+    ok, cert = _standard(gamma_gram(8))
     assert not ok and cert["norm"] == 0
     assert cert["vector"] == [0] * 8
 
 
 def test_is_standard_reuses_the_callers_report(vn):
+    # root_system's bound-2 pass lists the norm-1 pairs as a bound-1 pass does
     for G in (vn(1), vn(2), vn(3), gamma_gram(8)):
-        assert is_standard(G, report=min_characteristic(G)) == is_standard(G)
+        assert root_system(G).units == enumerate_short(G, 1).pairs
     # the report decides which certificate is built
     with pytest.raises(AssertionError):
-        is_standard(vn(2), report=min_characteristic(vn(3)))
+        is_standard(vn(2), min_characteristic(vn(3)), root_system(vn(2)).units)
 
 
 def test_orthonormal_certificate_checker(vn):
@@ -194,8 +195,3 @@ def test_specific_criterion_domain():
     assert fn(21) == 4 * 21 - 8
     with pytest.raises(ValueError):
         specific_criterion(LaurentPoly.monomial(2))
-
-
-def test_char_report_round_trip(vn):
-    rep = min_characteristic(vn(3))
-    assert CharReport.from_json_dict(rep.to_json_dict()) == rep

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import hermlat.charvec as charvec
 import hermlat.cli as cli
 import hermlat.lattice as lattice
 import hermlat.roots as roots
@@ -118,6 +117,16 @@ def test_wrong_json_shape_is_a_parse_error(tmp_path, capsys, command, data):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["transfer", "analyze"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "in.json"
+    path.write_text("[" * 100000)
+    argv = [command, str(path)] + (["--n", "2", "--out", str(tmp_path / "x.json")] if command == "transfer" else [])
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_analyze_v3(tmp_path, capsys):
     form_file, gram_file = tmp_path / "L.json", tmp_path / "V3.json"
     run(capsys, "build", "--k", "1", "--out", str(form_file))
@@ -172,12 +181,11 @@ def test_analyze_reduces_once_and_builds_one_root_graph(tmp_path, capsys, monkey
         lattice, "_bareiss", counted("sweeps of the input", lattice._bareiss, lambda rows: rows == G.gram)
     )
     monkeypatch.setattr(roots, "_root_graph", counted("root graphs", roots._root_graph))
-    monkeypatch.setattr(charvec, "enumerate_short", short)
     monkeypatch.setattr(roots, "enumerate_short", short)
     code, stdout, _ = run(capsys, "analyze", str(path))
     assert code == 0 and json.loads(stdout)["identification"] == "D8^2[(12)]"
     assert calls == {"lll": 1, "sweeps of the input": 1, "root graphs": 1}
-    assert sorted(bounds) == [1, 2]  # is_standard's units, root_system's roots
+    assert bounds == [2]  # root_system's one pass gives the roots and the units
 
 
 def test_analyze_standard_certificate(tmp_path, capsys):

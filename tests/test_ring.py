@@ -147,12 +147,7 @@ def test_laurent_json_round_trip():
     assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
 
 
-def test_cyclic_json_round_trip():
-    e = CyclicElement(4, (1, 0, -2, 5))
-    assert CyclicElement.from_json_dict(e.to_json_dict()) == e
-
-
-@pytest.mark.parametrize("cls", [LaurentPoly, CyclicElement])
+@pytest.mark.parametrize("cls", [LaurentPoly])
 @pytest.mark.parametrize("data", [[1, 2], 3, "x", None])
 def test_json_loaders_reject_non_objects(cls, data):
     with pytest.raises(ValueError):

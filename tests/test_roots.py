@@ -101,7 +101,7 @@ def test_root_system_i4():
     rs = root_system(identity_gram(4))
     assert rs.components == (("D", 4, 24),)
     assert rs.total_roots == 24 and rs.spanning_rank == 4
-    assert rs.unit_pairs == 4 and rs.core == ()
+    assert len(rs.units) == 4 and rs.core == ()
 
 
 def test_root_system_e8():
@@ -117,7 +117,7 @@ def test_root_system_gamma12():
 def test_root_system_direct_sum_splits():
     rs = root_system(direct_sum(e8_gram(), identity_gram(4)))
     assert rs.components == (("D", 4, 24), ("E", 8, 240))
-    assert rs.unit_pairs == 4 and rs.core == (("E", 8, 240),)
+    assert len(rs.units) == 4 and rs.core == (("E", 8, 240),)
     rs2 = root_system(direct_sum(a_gram(2), a_gram(2)))
     assert rs2.components == (("A", 2, 6), ("A", 2, 6))
 

@@ -1,4 +1,5 @@
-"""Static checks over the package sources: unused imports and rationals."""
+"""Static checks over the package sources: unused imports and parameters,
+and rationals."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,30 @@ def test_no_module_imports_fractions():
             if any(m.split(".")[0] == "fractions" for m in modules):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_unused_parameters():
+    # a parameter is read when the body, nested functions included, loads
+    # its name; self and cls are exempt
+    unused = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unused += [
+                f"{path.name}:{node.lineno} {name}({p})"
+                for p in params
+                if p not in read and p not in ("self", "cls")
+            ]
+    assert unused == []
