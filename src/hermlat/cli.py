@@ -4,7 +4,7 @@ Subcommands:
   build        construct the rank-4 hermitian form for a multiplier a(x)
   transfer     reduce a form mod x^n - 1 and restrict scalars to an integer Gram
   analyze      defect / mu / roots / standardness of a Gram matrix file
-  verify-paper run the full reproduction claim list and report pass/fail
+  verify-paper run the claim list of `hermlat.claims` and report pass/fail
 
 Exit codes: 0 success, 1 verification failure, 2 I/O or parse error,
 3 domain precondition violated, 4 node budget exhausted.
@@ -19,53 +19,23 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Iterator, Optional, Sequence
 
-from hermlat.charvec import (
-    CharReport,
-    char_witness,
-    check_orthonormal_certificate,
-    defect_certificate_check,
-    floor3_multiplier,
-    is_characteristic,
-    is_standard,
-    min_characteristic,
-    specific_criterion,
-    wa_norm,
-    witness_vector,
-)
+from hermlat.charvec import is_standard, min_characteristic
+from hermlat.claims import claim_list as _claim_list
 from hermlat.forms import (
     HermitianForm,
-    aug_form,
-    b_sequence,
     build_form,
     build_form_power,
     form_det,
-    rational_congruence_check,
     reduce_form,
     transfer,
     transfer_determinant,
 )
-from hermlat.lattice import (
-    DEFAULT_NODE_BUDGET,
-    BudgetExceeded,
-    GramMatrix,
-    canonical_rep,
-    direct_sum,
-    inner,
-    norm,
-)
-from hermlat.ring import LaurentPoly, format_laurent, parse_laurent, sym_power
-from hermlat.roots import (
-    check_dynkin,
-    gamma_gram,
-    identify,
-    identity_gram,
-    root_system,
-    v4_root_batches,
-)
+from hermlat.lattice import DEFAULT_NODE_BUDGET, BudgetExceeded, GramMatrix
+from hermlat.ring import format_laurent, parse_laurent
+from hermlat.roots import root_system
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -85,36 +55,41 @@ def _dump_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_json_file(path: str) -> Any:
+def _digit_limit() -> int:
+    """The most decimal digits Python converts an int to (0: no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextmanager
+def _printable() -> Iterator[None]:
+    """Formatting an int past `_digit_limit()` raises ValueError; exit 3 instead."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise CLIError(EXIT_IO, f"cannot read {path}: {exc}")
+        yield
+    except ValueError:
+        raise CLIError(
+            EXIT_DOMAIN, f"the result holds an integer of more than {_digit_limit()} digits"
+        )
 
 
-def _write_json_file(path: str, obj: Any) -> None:
+def _write_file(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(obj))
+            fh.write(text)
     except OSError as exc:
         raise CLIError(EXIT_IO, f"cannot write {path}: {exc}")
 
 
-def _load_form(path: str) -> HermitianForm:
-    data = _load_json_file(path)
+def _load(path: str, cls: Any, what: str) -> Any:
+    """The `cls.from_json_dict` of the JSON file at path."""
     try:
-        return HermitianForm.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CLIError(EXIT_IO, f"{path} is not a valid form file: {exc}")
-
-
-def _load_gram(path: str) -> GramMatrix:
-    data = _load_json_file(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CLIError(EXIT_IO, f"cannot read {path}: {exc}")
     try:
-        return GramMatrix.from_json_dict(data)
+        return cls.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CLIError(EXIT_IO, f"{path} is not a valid Gram file: {exc}")
+        raise CLIError(EXIT_IO, f"{path} is not a valid {what} file: {exc}")
 
 
 # -- build ---------------------------------------------------------------------
@@ -134,12 +109,21 @@ def _cmd_build(args: argparse.Namespace) -> int:
     else:
         if args.k < 1:
             raise CLIError(EXIT_DOMAIN, "power index must be >= 1")
+        # the exponents reach 2 b_k = 2 (4^k - 1) / 3, which has more than L
+        # digits exactly when 4^k > 3 * 10^L // 2
+        limit = _digit_limit()
+        if limit and args.k > ((3 * 10**limit // 2).bit_length() - 1) // 2:
+            raise CLIError(
+                EXIT_DOMAIN, f"power index {args.k} gives exponents of more than {limit} digits"
+            )
         form = build_form_power(args.k)
-    _write_json_file(args.out, form.to_json_dict())
-    # the constructor validates hermitian symmetry, so reaching here means true
-    print(f"rank: {form.size}")
-    print(f"det: {format_laurent(form_det(form))}")
-    print("hermitian: true")
+    det = form_det(form)
+    with _printable():
+        text = _dump_json(form.to_json_dict())
+        # the constructor validates hermitian symmetry, so reaching here means true
+        summary = f"rank: {form.size}\ndet: {format_laurent(det)}\nhermitian: true\n"
+    _write_file(args.out, text)
+    sys.stdout.write(summary)
     return EXIT_OK
 
 
@@ -149,11 +133,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_transfer(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise CLIError(EXIT_DOMAIN, "modulus must be >= 1")
-    Gn = reduce_form(_load_form(args.form_file), args.n)
+    Gn = reduce_form(_load(args.form_file, HermitianForm, "form"), args.n)
     G = transfer(Gn)
-    _write_json_file(args.out, G.to_json_dict())
-    print(f"rank: {G.rank}")
-    print(f"determinant: {transfer_determinant(Gn)}")
+    det = transfer_determinant(Gn)
+    with _printable():
+        text = _dump_json(G.to_json_dict())
+        summary = f"rank: {G.rank}\ndeterminant: {det}\n"
+    _write_file(args.out, text)
+    sys.stdout.write(summary)
     return EXIT_OK
 
 
@@ -161,7 +148,7 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    G = _load_gram(args.gram_file)
+    G = _load(args.gram_file, GramMatrix, "Gram")
     if not G.is_positive_definite():
         raise CLIError(EXIT_DOMAIN, "Gram matrix is not positive definite")
     want_all = not (args.defect or args.mu or args.roots or args.standardize)
@@ -220,7 +207,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         }
     if identifiable:
         report["identification"] = None if rs is None else rs.lattice_name(G.rank)
-    sys.stdout.write(_dump_json(report))
+    with _printable():
+        sys.stdout.write(_dump_json(report))
     if want_char and not unimodular:
         raise CLIError(
             EXIT_DOMAIN,
@@ -232,333 +220,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 # -- verify-paper --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    claim_id: str
-    paper_location: str
-    expected: Any
-    computed: Any
-    status: str  # pass | fail | skipped(budget)
-    elapsed: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "paper_location": self.paper_location,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-        }
-
-
-@lru_cache(maxsize=None)
-def _vn(n: int) -> GramMatrix:
-    """Transfer of the first-power form at modulus n (rank 4n)."""
-    return transfer(reduce_form(build_form_power(1), n))
-
-
-def _v3_expected_minimizers() -> frozenset:
-    # the twelve +/- classes w - 2 x^i e with e one of e1, e2, e1+e4, e2+e3
-    w = char_witness(3)
-    combos = ((0,), (1,), (0, 3), (1, 2))
-    out = set()
-    for i in range(3):
-        for mods in combos:
-            v = list(w)
-            for mmod in mods:
-                v[mmod * 3 + i] -= 2
-            out.add(canonical_rep(v))
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _char(G: GramMatrix, budget: int) -> CharReport:
-    """G's `min_characteristic`, enumerated once per lattice and budget."""
-    return min_characteristic(G, max_nodes=budget)
-
-
-def _run_standard(G: GramMatrix, budget: int) -> dict:
-    std, cert = is_standard(G, _char(G, budget), root_system(G, max_nodes=budget).units)
-    return {"standard": std, "certificate_ok": std and check_orthonormal_certificate(G, cert)}
-
-
-def _run_nonstandard_range() -> dict:
-    for n in range(3, 31):
-        G = _vn(n)
-        w1 = witness_vector(n, (1,))
-        if norm(G, w1) != 4 * n - 8 or not defect_certificate_check(G, w1, 1):
-            return {"moduli": f"failed at {n}", "all_nonstandard": False}
-    return {"moduli": "3..30", "all_nonstandard": True}
-
-
-def _run_char_norm_range() -> dict:
-    for n in range(1, 31):
-        G = _vn(n)
-        w = char_witness(n)
-        if not is_characteristic(G, w) or norm(G, w) != 4 * n:
-            return {"moduli": f"failed at {n}", "all_match": False}
-    return {"moduli": "1..30", "all_match": True}
-
-
-def _run_defect_bound_range() -> dict:
-    for n in range(6, 31):
-        G = _vn(n)
-        a = floor3_multiplier(n)
-        w0 = witness_vector(n, a)
-        target = 4 * n - 8 * (n // 3)
-        if norm(G, w0) != target or wa_norm(n, a) != target:
-            return {"moduli": f"norm mismatch at {n}", "all_valid": False}
-        if not defect_certificate_check(G, w0, n // 3):
-            return {"moduli": f"certificate failed at {n}", "all_valid": False}
-    return {"moduli": "6..30", "all_valid": True}
-
-
-def _run_v3_minimizers(budget: int) -> dict:
-    rep = _char(_vn(3), budget)
-    match = frozenset(rep.minimizers) == _v3_expected_minimizers()
-    return {"min_norm": rep.min_norm, "mu": rep.mu, "minimizers_match": match}
-
-
-def _run_v4_dynkin() -> dict:
-    G = _vn(4)
-    b1, b2 = v4_root_batches()
-    ortho = all(inner(G, u, v) == 0 for u in b1 for v in b2)
-    return {
-        "batch1_d8": check_dynkin(G, b1, "D", 8),
-        "batch2_d8": check_dynkin(G, b2, "D", 8),
-        "orthogonal": ortho,
-    }
-
-
-def _run_rational_congruence() -> dict:
-    values = (sym_power(1), LaurentPoly.zero(), sym_power(5), sym_power(21))
-    ok = all(rational_congruence_check(a) for a in values)
-    return {"a_values": len(values), "all_pass": ok}
-
-
-def _run_specific(b: int) -> dict:
-    # lattice varies with the multiplier; the witness is always w - 2 e_1
-    a = sym_power(b)
-    holds, m, witness_norm = specific_criterion(a)
-    if not holds or m != b:
-        return {"holds": holds, "m": m, "norms_match": False}
-    ok = True
-    for n in (4 * b + 1, 4 * b + 2):
-        G = transfer(reduce_form(build_form(a), n))
-        w1 = witness_vector(n, (1,))
-        direct = norm(G, w1)
-        predicted = witness_norm(n)
-        if direct != predicted or not defect_certificate_check(G, w1, (4 * n - predicted) // 8):
-            ok = False
-    return {"holds": holds, "m": m, "norms_match": ok}
-
-
-def _run_distinguishing() -> dict:
-    for k in (1, 2, 3):
-        bk = b_sequence(k)
-        if not reduce_form(build_form_power(k), bk).is_constant():
-            return {"checked": f"power {k} not constant at its modulus", "all": False}
-        for j in range(1, k):
-            a = sym_power(b_sequence(j))
-            G = transfer(reduce_form(build_form_power(j), bk))
-            w = witness_vector(bk, (1,))
-            nw = norm(G, w)
-            _, _, witness_norm = specific_criterion(a)
-            if witness_norm is None or nw != witness_norm(bk):
-                return {"checked": f"norm mismatch at j={j}, k={k}", "all": False}
-            if nw >= 4 * bk or (4 * bk - nw) % 8:
-                return {"checked": f"witness too large at j={j}, k={k}", "all": False}
-            if not defect_certificate_check(G, w, (4 * bk - nw) // 8):
-                return {"checked": f"certificate failed at j={j}, k={k}", "all": False}
-    return {"checked": "k=1..3 with all j<k", "all": True}
-
-
-def _claim_list(max_n: int, budget: int) -> List[Tuple[str, str, Any, Optional[Callable[[], Any]]]]:
-    """(claim_id, paper_location, expected, run) tuples; run=None means the
-    record is skipped under the current --max-n."""
-
-    def defect_runner(n: int) -> Optional[Callable[[], Any]]:
-        if n > max_n:
-            return None
-        return lambda: _char(_vn(n), budget).defect
-
-    aug_expected = [[7, 6, 3, 2], [6, 7, 2, 3], [3, 2, 2, 0], [2, 3, 0, 2]]
-    claims: List[Tuple[str, str, Any, Optional[Callable[[], Any]]]] = [
-        (
-            "construction-aug-matrix",
-            "augmentation of the first-power form",
-            aug_expected,
-            lambda: [list(row) for row in aug_form(build_form_power(1)).gram],
-        ),
-        (
-            "construction-det-one",
-            "determinant of the first-power form",
-            "1",
-            lambda: format_laurent(form_det(build_form_power(1))),
-        ),
-        (
-            "thm-new-n1-standard",
-            "standardness of the transfer at modulus 1",
-            {"standard": True, "certificate_ok": True},
-            lambda: _run_standard(_vn(1), budget),
-        ),
-        (
-            "thm-new-n2-standard",
-            "standardness of the transfer at modulus 2",
-            {"standard": True, "certificate_ok": True},
-            lambda: _run_standard(_vn(2), budget),
-        ),
-        (
-            "thm-new-nonstandard-range",
-            "norm 4n-8 characteristic witnesses at moduli 3..30",
-            {"moduli": "3..30", "all_nonstandard": True},
-            _run_nonstandard_range,
-        ),
-        (
-            "lemma-char-norm-range",
-            "norm-element witness is characteristic of norm 4n at moduli 1..30",
-            {"moduli": "1..30", "all_match": True},
-            _run_char_norm_range,
-        ),
-        (
-            "defect-exact-n3",
-            "enumerated defect of the modulus-3 transfer",
-            1,
-            defect_runner(3),
-        ),
-        (
-            "defect-exact-n4",
-            "enumerated defect of the modulus-4 transfer",
-            1,
-            defect_runner(4),
-        ),
-        (
-            "defect-exact-n5-bound",
-            "defect bounds at modulus 5",
-            {"lower": 1, "upper": 2, "within": True},
-            None
-            if max_n < 5
-            else (
-                lambda: {
-                    "lower": 1,
-                    "upper": 2,
-                    "within": 1 <= _char(_vn(5), budget).defect <= 2,
-                }
-            ),
-        ),
-        (
-            "defect-exact-n5-value",
-            "enumerated defect value at modulus 5",
-            1,
-            defect_runner(5),
-        ),
-        (
-            "defect-bound-range",
-            "spaced-power witnesses give defect >= floor(n/3) at moduli 6..30",
-            {"moduli": "6..30", "all_valid": True},
-            _run_defect_bound_range,
-        ),
-        (
-            "thm-smalln-v3-mu24",
-            "minimal characteristic vectors of the modulus-3 transfer",
-            {"min_norm": 4, "mu": 24, "minimizers_match": True},
-            lambda: _run_v3_minimizers(budget),
-        ),
-        (
-            "thm-smalln-v3-identify",
-            "fingerprint identification of the modulus-3 transfer",
-            "Gamma12",
-            lambda: identify(_vn(3), max_nodes=budget),
-        ),
-        (
-            "mu-e8-plus-i4",
-            "minimal characteristic count of the rank-8 even lattice plus I4",
-            16,
-            lambda: _char(direct_sum(gamma_gram(8), identity_gram(4)), budget).mu,
-        ),
-        (
-            "thm-smalln-v4-dynkin",
-            "two orthogonal D8 diagrams inside the modulus-4 transfer",
-            {"batch1_d8": True, "batch2_d8": True, "orthogonal": True},
-            _run_v4_dynkin,
-        ),
-        (
-            "thm-smalln-v4-roots",
-            "root decomposition of the modulus-4 transfer",
-            [
-                {"type": "D", "rank": 8, "roots": 112},
-                {"type": "D", "rank": 8, "roots": 112},
-            ],
-            lambda: root_system(_vn(4), max_nodes=budget).to_json_dict()["components"],
-        ),
-        (
-            "thm-smalln-v4-identify",
-            "fingerprint identification of the modulus-4 transfer",
-            "D8^2[(12)]",
-            lambda: identify(_vn(4), max_nodes=budget),
-        ),
-        (
-            "catalog-defect-floor",
-            "defect of the half-integer overlattices of ranks 4,8,12,16",
-            [0, 1, 1, 2],
-            lambda: [
-                _char(gamma_gram(4 * m), budget).defect for m in (1, 2, 3, 4)
-            ],
-        ),
-        (
-            "catalog-mu-gamma12",
-            "minimal characteristic count of the rank-12 overlattice",
-            24,
-            lambda: _char(gamma_gram(12), budget).mu,
-        ),
-        (
-            "catalog-mu-gamma8",
-            "minimal characteristic count of the rank-8 overlattice",
-            1,
-            lambda: _char(gamma_gram(8), budget).mu,
-        ),
-        (
-            "catalog-gamma4-standard",
-            "the rank-4 overlattice is standard",
-            {"standard": True, "certificate_ok": True},
-            lambda: _run_standard(gamma_gram(4), budget),
-        ),
-        (
-            "lemma-rational-congruence",
-            "rational block diagonalization of the rank-4 form",
-            {"a_values": 4, "all_pass": True},
-            _run_rational_congruence,
-        ),
-        (
-            "lemma-specific-a-x1",
-            "sum-of-squares witness for the first power multiplier",
-            {"holds": True, "m": 1, "norms_match": True},
-            lambda: _run_specific(1),
-        ),
-        (
-            "lemma-specific-a-x5",
-            "sum-of-squares witness for the fifth power multiplier",
-            {"holds": True, "m": 5, "norms_match": True},
-            lambda: _run_specific(5),
-        ),
-        (
-            "lemma-specific-a-x21",
-            "sum-of-squares witness for the twenty-first power multiplier",
-            {"holds": True, "m": 21, "norms_match": True},
-            lambda: _run_specific(21),
-        ),
-        (
-            "distinguishing-powers",
-            "lower powers stay nonstandard at the higher modulus while the matching power extends from the integers",
-            {"checked": "k=1..3 with all j<k", "all": True},
-            _run_distinguishing,
-        ),
-    ]
-    return claims
-
-
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
-    records: List[VerificationRecord] = []
+    records = []
     for claim_id, location, expected, run in _claim_list(args.max_n, args.budget):
         t0 = time.monotonic()
         if run is None:
@@ -573,26 +236,31 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
             except Exception as exc:  # a crashed claim is a failed claim
                 computed = f"error: {type(exc).__name__}: {exc}"
                 status = "fail"
-        elapsed = time.monotonic() - t0
+        print(f"# {claim_id}: {time.monotonic() - t0:.3f}s [{status}]", file=sys.stderr)
         records.append(
-            VerificationRecord(claim_id, location, expected, computed, status, elapsed)
+            {
+                "claim_id": claim_id,
+                "paper_location": location,
+                "expected": expected,
+                "computed": computed,
+                "status": status,
+            }
         )
-        print(f"# {claim_id}: {elapsed:.3f}s [{status}]", file=sys.stderr)
 
-    n_pass = sum(1 for r in records if r.status == "pass")
-    n_fail = sum(1 for r in records if r.status == "fail")
+    n_pass = sum(1 for r in records if r["status"] == "pass")
+    n_fail = sum(1 for r in records if r["status"] == "fail")
     n_skip = len(records) - n_pass - n_fail
     if args.format == "json":
-        sys.stdout.write(_dump_json({"records": [r.to_json_dict() for r in records]}))
+        sys.stdout.write(_dump_json({"records": records}))
     else:
-        width = max(len(r.claim_id) for r in records)
+        width = max(len(r["claim_id"]) for r in records)
         for r in records:
-            tag = {"pass": "PASS", "fail": "FAIL"}.get(r.status, "SKIP")
-            line = f"{tag}  {r.claim_id.ljust(width)}"
-            if r.status == "fail":
-                line += f"  expected={r.expected!r} computed={r.computed!r}"
-            elif r.status != "pass":
-                line += f"  ({r.computed})"
+            tag = {"pass": "PASS", "fail": "FAIL"}.get(r["status"], "SKIP")
+            line = f"{tag}  {r['claim_id'].ljust(width)}"
+            if r["status"] == "fail":
+                line += f"  expected={r['expected']!r} computed={r['computed']!r}"
+            elif r["status"] != "pass":
+                line += f"  ({r['computed']})"
             print(line)
         print(f"summary: {n_pass} passed, {n_fail} failed, {n_skip} skipped")
     return EXIT_VERIFY if n_fail else EXIT_OK

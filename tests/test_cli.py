@@ -2,10 +2,15 @@
 
 import json
 import random
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hermlat.claims as claims
 import hermlat.cli as cli
 import hermlat.lattice as lattice
 import hermlat.roots as roots
@@ -125,6 +130,87 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, command):
     code, stdout, err = run(capsys, *argv)
     assert code == 2 and stdout == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def _one_error_line(err):
+    return len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_build_power_index_at_the_print_limit(tmp_path, capsys):
+    # 2 b_7142 has 4300 digits, Python's default limit for printing an int
+    code, stdout, err = run(capsys, "build", "--k", "7142", "--out", str(tmp_path / "x.json"))
+    assert code == 0 and err == "" and "det: 1" in stdout
+
+
+@pytest.mark.parametrize("k", ["7143", "1000000"])
+def test_build_rejects_power_index_too_long_to_print(tmp_path, capsys, k):
+    out = tmp_path / "x.json"
+    t0 = time.monotonic()
+    code, stdout, err = run(capsys, "build", "--k", k, "--out", str(out))
+    assert time.monotonic() - t0 < 1
+    assert code == 3 and stdout == "" and _one_error_line(err)
+    assert not out.exists()
+
+
+def test_analyze_determinant_too_long_to_print(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"rank": 2, "gram": [[10**4000, 0], [0, 10**4000]]}))
+    code, stdout, err = run(capsys, "analyze", str(path))
+    assert code == 3 and stdout == "" and _one_error_line(err)
+
+
+def test_transfer_determinant_too_long_to_print(tmp_path, capsys):
+    form_file, out = tmp_path / "F.json", tmp_path / "G.json"
+    form_file.write_text(json.dumps({"size": 1, "entries": [[{"0": 10**4000}]]}))
+    code, stdout, err = run(capsys, "transfer", str(form_file), "--n", "3", "--out", str(out))
+    assert code == 3 and stdout == "" and _one_error_line(err)
+    assert not out.exists()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+_self_conjugate = st.dictionaries(st.integers(0, 5), st.integers(-3, 9), max_size=3).map(
+    lambda d: {str(s * e): c for e, c in d.items() for s in (1, -1)}
+)
+
+
+@st.composite
+def _loader_inputs(draw):
+    """(command, JSON value).  Half are well formed: a Gram file of small
+    ints or a form file of self-conjugate Laurent polynomials, of size <= 4.
+    The rest are arbitrary values, or files whose size field and symmetric
+    entries are arbitrary."""
+    command = draw(st.sampled_from(["analyze", "transfer"]))
+    size = draw(st.integers(0, 4))
+    keys = ("rank", "gram") if command == "analyze" else ("size", "entries")
+    if draw(st.booleans()):
+        diagonal = st.integers(1, 6) if command == "analyze" else _self_conjugate
+        off = st.integers(-2, 2) if command == "analyze" else _self_conjugate
+        upper = {(i, j): draw(diagonal if i == j else off) for i in range(size) for j in range(i, size)}
+        count = size
+    else:
+        entry = draw(st.sampled_from([st.integers(-3, 9), _self_conjugate, _json_values]))
+        upper = {(i, j): draw(entry) for i in range(size) for j in range(i, size)}
+        count = draw(st.integers(-1, 5) | _json_values)
+    rows = [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]
+    return command, draw(st.just(dict(zip(keys, (count, rows)))) | _json_values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_loader_inputs(), st.integers(-1, 4))
+def test_loaders_fuzz_end_with_a_documented_exit_code(command_data, n):
+    command, data = command_data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(data))
+        if command == "analyze":
+            argv = ["analyze", str(path), "--budget", "10000"]
+        else:
+            argv = ["transfer", str(path), "--n", str(n), "--out", str(Path(tmp) / "out.json")]
+        assert cli.main(argv) in (0, 2, 3, 4)
 
 
 def test_analyze_v3(tmp_path, capsys):
@@ -272,7 +358,7 @@ def test_verify_paper_tiny_budget_skips_not_fails(capsys):
 
 
 def test_verify_paper_tampered_input_fails(capsys, monkeypatch):
-    real_vn = cli._vn
+    real_vn = claims._vn
 
     def tampered(n):
         G = real_vn(n)
@@ -280,7 +366,7 @@ def test_verify_paper_tampered_input_fails(capsys, monkeypatch):
         rows[0][0] += 2
         return GramMatrix(rows)
 
-    monkeypatch.setattr(cli, "_vn", tampered)
+    monkeypatch.setattr(claims, "_vn", tampered)
     code, stdout, _ = run(capsys, "verify-paper", "--max-n", "3")
     assert code == 1
     assert "FAIL" in stdout

@@ -1,5 +1,5 @@
-"""Static checks over the package sources: unused imports and parameters,
-and rationals."""
+"""Static checks over the package sources: unused imports, parameters and
+private definitions, and rationals."""
 
 import ast
 from pathlib import Path
@@ -80,3 +80,25 @@ def test_no_unused_parameters():
                 if p not in read and p not in ("self", "cls")
             ]
     assert unused == []
+
+
+def test_no_unread_private_definitions():
+    # a module-level _name function or class is read by name (a load, an
+    # attribute or an import) somewhere in the package
+    defined, read = [], set()
+    for path in MODULES:
+        tree = _tree(path)
+        defined += [
+            f"{path.name}:{node.lineno} {node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+        ]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    assert [d for d in defined if d.split()[-1] not in read] == []
