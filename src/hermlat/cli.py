@@ -29,6 +29,7 @@ from hermlat.forms import (
     build_form,
     build_form_power,
     form_det,
+    power_exceeds,
     reduce_form,
     transfer,
     transfer_determinant,
@@ -109,10 +110,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     else:
         if args.k < 1:
             raise CLIError(EXIT_DOMAIN, "power index must be >= 1")
-        # the exponents reach 2 b_k = 2 (4^k - 1) / 3, which has more than L
-        # digits exactly when 4^k > 3 * 10^L // 2
         limit = _digit_limit()
-        if limit and args.k > ((3 * 10**limit // 2).bit_length() - 1) // 2:
+        if limit and power_exceeds(args.k, limit):
             raise CLIError(
                 EXIT_DOMAIN, f"power index {args.k} gives exponents of more than {limit} digits"
             )

@@ -182,13 +182,17 @@ def build_form(a: LaurentPoly) -> HermitianForm:
 
 
 def b_sequence(k: int) -> int:
-    """b_1 = 1, b_{k+1} = 4*b_k + 1 (so 1, 5, 21, 85, ...)."""
+    """b_1 = 1, b_{k+1} = 4*b_k + 1, so b_k = (4^k - 1) / 3 (1, 5, 21, 85, ...)."""
     if k < 1:
         raise ValueError("index must be >= 1")
-    b = 1
-    for _ in range(k - 1):
-        b = 4 * b + 1
-    return b
+    return ((1 << 2 * k) - 1) // 3
+
+
+def power_exceeds(k: int, digits: int) -> bool:
+    """Whether the top exponent 2 b_k of `build_form_power(k)` has more than
+    `digits` decimal digits, decided without computing b_k."""
+    # 2 (4^k - 1) / 3 >= 10^digits exactly when 4^k > 3 * 10^digits // 2
+    return k > ((3 * 10**digits // 2).bit_length() - 1) // 2
 
 
 def build_form_power(k: int) -> HermitianForm:

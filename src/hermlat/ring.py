@@ -235,9 +235,6 @@ class CyclicElement:
     def coeff(self, exp: int) -> int:
         return self._coeffs[exp % self._n]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
-
     def _check(self, other: "CyclicElement") -> None:
         if self._n != other._n:
             raise ValueError("mixed moduli")

@@ -21,6 +21,7 @@ from hermlat.forms import (
     build_form_power,
     flatten_vector,
     form_det,
+    power_exceeds,
     rational_congruence_check,
     reduce_form,
     substitute_power,
@@ -68,8 +69,15 @@ def test_hermitian_validation():
 
 def test_b_sequence():
     assert [b_sequence(k) for k in (1, 2, 3, 4)] == [1, 5, 21, 85]
+    assert all(b_sequence(k + 1) == 4 * b_sequence(k) + 1 for k in range(1, 60))
     with pytest.raises(ValueError):
         b_sequence(0)
+
+
+def test_power_exceeds_matches_the_printed_exponent():
+    for digits in range(1, 40):
+        for k in range(1, 80):
+            assert power_exceeds(k, digits) == (len(str(2 * b_sequence(k))) > digits)
 
 
 def test_power_family():
