@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
+    BudgetExceeded,
     GramMatrix,
     enumerate_coset,
     inner,
@@ -81,21 +82,26 @@ def min_characteristic(
     Characteristic norms lie in one residue class mod 8 (van der Blij), so
     the search starts at rank mod 8 and widens by 8 until nonempty.  That
     congruence, and with it the defect, needs determinant 1: other inputs
-    raise ValueError.
+    raise ValueError.  ``max_nodes`` bounds the nodes of all the passes
+    together; each pass gets what the earlier ones left.
     """
     if G.determinant() != 1:
         raise ValueError("lattice is not unimodular (determinant != 1)")
     r = G.rank
     c = char_rep(G)
     bound = r % 8
+    spent = 0
     while True:
-        found = enumerate_coset(G, c, bound, max_nodes=max_nodes).pairs
-        if found:
+        try:
+            found = enumerate_coset(G, c, bound, max_nodes=max_nodes - spent)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(spent + exc.nodes, max_nodes) from None
+        spent += found.nodes
+        if found.pairs:
             break
         bound += 8
-    norms = [norm(G, v) for v in found]
-    mn = min(norms)
-    minimizers = tuple(sorted(v for v, nv in zip(found, norms) if nv == mn))
+    mn = min(found.norms)
+    minimizers = tuple(v for v, nv in zip(found.pairs, found.norms) if nv == mn)
     if (r - mn) % 8:
         raise AssertionError("characteristic norm violates the mod-8 congruence")
     d = (r - mn) // 8

@@ -13,7 +13,12 @@ spends enumeration nodes, so neither counts against a budget.
 
 Enumeration walks a bounded search tree; every visited node counts against a
 caller-supplied node budget (default 10^9) and exhausting it raises
-``BudgetExceeded`` rather than silently truncating.
+``BudgetExceeded`` rather than silently truncating.  The tree visits one
+vector of each +/- pair (the sign rule of Schnorr & Euchner, *Math.
+Programming* 66, 1994: the last nonzero coordinate in the reduced basis is
+positive), and its leaves know each solution's exact norm, so an
+``EnumerationResult`` carries the norms and the node count along with the
+pairs and nothing downstream recomputes a norm.
 """
 
 from __future__ import annotations
@@ -308,10 +313,16 @@ def lll_reduce(G: GramMatrix):
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Canonically sorted +/- pair representatives within a norm bound."""
+    """Canonically sorted +/- pair representatives within a norm bound.
+
+    ``norms[i]`` is the exact norm of ``pairs[i]``, read off the search tree,
+    and ``nodes`` is the number of tree nodes the enumeration visited.
+    """
 
     bound: int
     pairs: Tuple[Vector, ...]
+    norms: Tuple[int, ...]
+    nodes: int
 
 
 def canonical_rep(v: Sequence[int]) -> Vector:
@@ -335,53 +346,64 @@ class _Budget:
             raise BudgetExceeded(self.used, self.limit)
 
 
-def _enumerate(d, lam, parity: Sequence[int], step: int, bound: int, budget: _Budget):
-    """All integer w with w_j = parity_j (mod step) and w^T G w <= bound.
+def _enumerate(d, lam, U, parity: Sequence[int], step: int, bound: int, budget: _Budget):
+    """(U w, w^T G w) for one w of each +/- pair of integer vectors with
+    w_j = parity_j (mod step) and w^T G w <= bound, where G is the reduced
+    Gram matrix and U maps its basis to the input basis.
 
     Fincke-Pohst over the integral Gram-Schmidt data (d, lam) of G.  With
     x_j = d[j+1] w_j + sum_{i>j} lam_ij w_i the form is
     sum_j x_j^2 / (d[j] d[j+1]); scaling by M = lcm_j d[j] d[j+1] makes each
     level's weight W_j = M / (d[j] d[j+1]) an integer, and level j's window
-    is |x_j| <= isqrt(remaining // W_j).  Every level visited counts one node
-    against the budget.
+    is |x_j| <= isqrt(remaining // W_j).  While every higher level is 0 the
+    window is symmetric and a level takes only candidates >= 0, so the last
+    nonzero coordinate of each solution is positive and -w is never visited;
+    the coset is closed under w -> -w because -c = c (mod 2).  U w is built
+    along the path, one column of U per nonzero level, and at a leaf the
+    scaled slack left is M (bound - norm), which gives the norm exactly: a
+    solution costs O(r) beyond its node.  Every level visited counts one
+    node against the budget.
     """
     r = len(lam)
     M = lcm(*(d[j] * d[j + 1] for j in range(r)))
     W = [M // (d[j] * d[j + 1]) for j in range(r)]
     # column j of lam, zero on rows <= j, where w is still 0 at level j
     cols = [[lam[i][j] if i > j else 0 for i in range(r)] for j in range(r)]
-    sols: List[List[int]] = []
+    ucols = list(zip(*U))
+    sols: List[Tuple[List[int], int]] = []
     w = [0] * r
 
-    def rec(j: int, remaining: int) -> None:
+    def rec(j: int, remaining: int, top: bool, v: List[int]) -> None:
+        # v = U w, with w_j .. w_0 still 0
         budget.spend()
-        e = sum(map(mul, cols[j], w))
-        dj, wj = d[j + 1], W[j]
+        dj, wj, uj = d[j + 1], W[j], ucols[j]
         s = isqrt(remaining // wj)
-        lo = -((s + e) // dj)
-        lo += (parity[j] - lo) % step
+        if top:  # w is 0 above level j, so e = 0: take w_j >= 0
+            e, lo = 0, parity[j]
+        else:
+            e = sum(map(mul, cols[j], w))
+            lo = -((s + e) // dj)
+            lo += (parity[j] - lo) % step
         for cand in range(lo, (s - e) // dj + 1, step):
             w[j] = cand
+            x = dj * cand + e
+            u = [a + cand * b for a, b in zip(v, uj)] if cand else v
             if j == 0:
-                sols.append(w.copy())
+                sols.append((u, bound - (remaining - wj * x * x) // M))
             else:
-                x = dj * cand + e
-                rec(j - 1, remaining - wj * x * x)
+                rec(j - 1, remaining - wj * x * x, top and not cand, u)
         w[j] = 0
 
-    rec(r - 1, M * bound)
+    rec(r - 1, M * bound, True, [0] * r)
     return sols
 
 
-def _input_pairs(U, sols) -> Tuple[Vector, ...]:
-    """Sorted +/- pair representatives of U w over the solutions w, a set
-    closed under w -> -w: mapping the one w of each pair whose first nonzero
-    coordinate is positive (and the zero vector) covers every pair once."""
-    out = []
-    for w in sols:
-        if next((x for x in w if x), 0) >= 0:
-            out.append(canonical_rep([sum(map(mul, row, w)) for row in U]))
-    return tuple(sorted(out))
+def _input_pairs(sols) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
+    """Sorted +/- pair representatives of the solutions (U w, norm), with
+    their norms in the same order.  The sign rule of `_enumerate` has
+    already kept one w of each pair, so every solution gives one pair."""
+    out = sorted((canonical_rep(v), nv) for v, nv in sols)
+    return tuple(v for v, _ in out), tuple(nv for _, nv in out)
 
 
 def enumerate_short(
@@ -391,8 +413,10 @@ def enumerate_short(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     _, U, _, d, lam = G._reduced()
-    sols = _enumerate(d, lam, [0] * G.rank, 1, bound, _Budget(max_nodes))
-    return EnumerationResult(bound, _input_pairs(U, [v for v in sols if any(v)]))
+    budget = _Budget(max_nodes)
+    sols = _enumerate(d, lam, U, [0] * G.rank, 1, bound, budget)
+    nonzero = [(v, nv) for v, nv in sols if nv]
+    return EnumerationResult(bound, *_input_pairs(nonzero), budget.used)
 
 
 def enumerate_coset(
@@ -415,5 +439,6 @@ def enumerate_coset(
     _, U, Uinv, d, lam = G._reduced()
     c2 = [ci % 2 for ci in c]
     cr = [sum(Uinv[i][j] * c2[j] for j in range(r)) % 2 for i in range(r)]
-    sols = _enumerate(d, lam, cr, 2, bound, _Budget(max_nodes))
-    return EnumerationResult(bound, _input_pairs(U, sols))
+    budget = _Budget(max_nodes)
+    sols = _enumerate(d, lam, U, cr, 2, bound, budget)
+    return EnumerationResult(bound, *_input_pairs(sols), budget.used)

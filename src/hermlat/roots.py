@@ -23,6 +23,7 @@ run time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from hermlat.forms import flatten_vector
@@ -178,9 +179,11 @@ def _component_type(rank: int, count: int) -> Tuple[str, int, int]:
     )
 
 
-def _root_graph(G: GramMatrix, pairs: Sequence[Vector]) -> List[List[Vector]]:
-    """Connected components of the graph on the root pairs (edges: nonzero
-    inner product)."""
+def _root_graph(pairs: Sequence[Vector], images: Sequence[Vector]) -> List[List[int]]:
+    """Connected components, as index lists, of the graph on the root pairs
+    whose edges join roots with nonzero inner product.  ``images[i]`` is
+    G pairs[i], so an edge test is an O(r) dot product, and it is made only
+    for pairs whose union-find roots still differ."""
     k = len(pairs)
     parent = list(range(k))
 
@@ -191,30 +194,32 @@ def _root_graph(G: GramMatrix, pairs: Sequence[Vector]) -> List[List[Vector]]:
         return i
 
     for i in range(k):
+        ri, gi = find(i), images[i]
         for j in range(i + 1, k):
-            if inner(G, pairs[i], pairs[j]) != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: Dict[int, List[Vector]] = {}
+            rj = find(j)
+            if ri != rj and sum(map(mul, gi, pairs[j])):
+                parent[ri] = rj
+                ri = rj
+    groups: Dict[int, List[int]] = {}
     for i in range(k):
-        groups.setdefault(find(i), []).append(pairs[i])
+        groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
 
 def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSystemReport:
     """Components of the root graph, each typed by its span rank and root
     count, with the norm-1 pairs and the core, all from one bound-2
-    enumeration."""
-    units, roots = [], []
-    for v in enumerate_short(G, 2, max_nodes=max_nodes).pairs:
-        (units if norm(G, v) == 1 else roots).append(v)
+    enumeration, whose norms split the units from the roots."""
+    found = enumerate_short(G, 2, max_nodes=max_nodes)
+    units = [v for v, nv in zip(found.pairs, found.norms) if nv == 1]
+    roots = [v for v, nv in zip(found.pairs, found.norms) if nv == 2]
+    images = [tuple(sum(map(mul, row, v)) for row in G.gram) for v in roots]
     components, core = [], []
-    for vecs in _root_graph(G, roots):
-        comp = _component_type(_int_rank(vecs), 2 * len(vecs))
-        components.append(comp)
-        if not any(inner(G, u, v) for v in vecs for u in units):
-            core.append(comp)
+    for comp in _root_graph(roots, images):
+        typed = _component_type(_int_rank([roots[i] for i in comp]), 2 * len(comp))
+        components.append(typed)
+        if not any(sum(map(mul, images[i], u)) for i in comp for u in units):
+            core.append(typed)
     return RootSystemReport(
         components=tuple(sorted(components)),
         total_roots=2 * len(roots),

@@ -217,8 +217,11 @@ def frac_lll(gram_in):
 
 
 def _frac_shifted(gram, t: List[Fraction], bound: Fraction):
-    """All integer v with (v+t)^T G (v+t) <= bound, and the number of
-    search-tree nodes (one per call of the level recursion)."""
+    """One integer v of each pair v + t, -(v + t) with (v+t)^T G (v+t) <=
+    bound, and the number of search-tree nodes (one per call of the level
+    recursion).  The pair's member is the one whose last nonzero z = v + t
+    coordinate is positive: while every higher z is 0, a level takes only
+    candidates with z_j >= 0."""
     r = len(gram)
     mu, B = frac_gso(gram)
     sols: List[List[int]] = []
@@ -226,7 +229,7 @@ def _frac_shifted(gram, t: List[Fraction], bound: Fraction):
     v = [0] * r
     z = [Fraction(0)] * r
 
-    def rec(j: int, remaining: Fraction) -> None:
+    def rec(j: int, remaining: Fraction, top: bool) -> None:
         nonlocal nodes
         nodes += 1
         c = t[j] + sum(mu[i][j] * z[i] for i in range(j + 1, r))
@@ -237,17 +240,19 @@ def _frac_shifted(gram, t: List[Fraction], bound: Fraction):
             hi += 1
         while B[j] * (lo - 1 + c) ** 2 <= remaining:
             lo -= 1
+        if top:
+            lo = max(lo, (-t[j]).__ceil__())
         for cand in range(lo, hi + 1):
             v[j] = cand
             z[j] = cand + t[j]
             if j == 0:
                 sols.append(v.copy())
             else:
-                rec(j - 1, remaining - B[j] * (cand + c) ** 2)
+                rec(j - 1, remaining - B[j] * (cand + c) ** 2, top and z[j] == 0)
         v[j] = 0
         z[j] = Fraction(0)
 
-    rec(r - 1, bound)
+    rec(r - 1, bound, True)
     return sols, nodes
 
 

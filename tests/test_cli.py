@@ -372,8 +372,9 @@ def test_verify_paper_tampered_input_fails(capsys, monkeypatch):
     assert "FAIL" in stdout
 
 
-def test_verify_paper_json_matches_golden(capsys):
-    golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify-paper-max-n-3.json"
-    code, stdout, _ = run(capsys, "verify-paper", "--max-n", "3", "--format", "json")
+@pytest.mark.parametrize("max_n", ["3", "5"])
+def test_verify_paper_json_matches_golden(capsys, max_n):
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / f"verify-paper-max-n-{max_n}.json"
+    code, stdout, _ = run(capsys, "verify-paper", "--max-n", max_n, "--format", "json")
     assert code == 0
     assert stdout.encode("utf-8") == golden.read_bytes()

@@ -16,7 +16,7 @@ from oracles import (
     frac_lll,
     random_unimodular,
 )
-from hermlat.charvec import char_rep
+from hermlat.charvec import char_rep, min_characteristic
 from hermlat.lattice import (
     _integral_gso,
     _lll_core,
@@ -213,6 +213,25 @@ def test_budget_exceeded(vn):
         assert exc.nodes >= 50 and exc.budget == 50
 
 
+# (n, bound-2 short-vector nodes, minimal characteristic norm, coset nodes there)
+NODE_COUNTS = ((3, 739, 4, 87), (4, 1961, 8, 2086), (5, 3222, 12, 37656))
+
+
+@pytest.mark.parametrize("n, short, min_norm, coset", NODE_COUNTS)
+def test_node_counts(vn, n, short, min_norm, coset):
+    """Node counts are deterministic, so they pin the sign-halved trees."""
+    G = vn(n)
+    assert enumerate_short(G, 2).nodes == short
+    assert enumerate_coset(G, char_rep(G), min_norm).nodes == coset
+
+
+def test_min_characteristic_budget_covers_every_pass(vn):
+    G, c = vn(4), char_rep(vn(4))
+    # rank 16: the bound-0 pass is empty and the bound-8 pass finds the minimizers
+    total = enumerate_coset(G, c, 0).nodes + enumerate_coset(G, c, 8).nodes
+    _assert_visits_exactly(lambda m: min_characteristic(G, max_nodes=m), total)
+
+
 def test_canonical_rep():
     assert canonical_rep((-1, 2)) == (1, -2)
     assert canonical_rep((0, -3, 1)) == (0, 3, -1)
@@ -237,7 +256,7 @@ def _assert_visits_exactly(call, count):
     call(count)
     with pytest.raises(BudgetExceeded) as exc:
         call(count - 1)
-    assert exc.value.nodes == count
+    assert (exc.value.nodes, exc.value.budget) == (count, count - 1)
 
 
 def _assert_matches_oracle(G):
@@ -249,12 +268,14 @@ def _assert_matches_oracle(G):
     assert (list(d), [list(row) for row in lam]) == _integral_gso(g)
 
     pairs, nodes = frac_enumerate_short(G.gram, 2)
-    assert set(enumerate_short(G, 2).pairs) == pairs
+    res = enumerate_short(G, 2)
+    assert (set(res.pairs), res.nodes) == (pairs, nodes)
     _assert_visits_exactly(lambda m: enumerate_short(G, 2, max_nodes=m), nodes)
 
     c, bound = char_rep(G), G.rank % 8 or 8
     pairs, nodes = frac_enumerate_coset(G.gram, c, bound)
-    assert set(enumerate_coset(G, c, bound).pairs) == pairs
+    res = enumerate_coset(G, c, bound)
+    assert (set(res.pairs), res.nodes) == (pairs, nodes)
     _assert_visits_exactly(lambda m: enumerate_coset(G, c, bound, max_nodes=m), nodes)
 
 

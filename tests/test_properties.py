@@ -167,11 +167,15 @@ def small_posdef(draw):
 @SUITE
 @given(small_posdef(), st.integers(1, 8), st.data())
 def test_enumeration_vs_brute_force(G, bound, data):
-    got = set(enumerate_short(G, bound).pairs)
-    assert got == brute_force_short(G.gram, bound)
     c = tuple(data.draw(st.integers(0, 1)) for _ in range(G.rank))
-    got_c = set(enumerate_coset(G, c, bound).pairs)
-    assert got_c == brute_force_coset(G.gram, c, bound)
+    for res, want in (
+        (enumerate_short(G, bound), brute_force_short(G.gram, bound)),
+        (enumerate_coset(G, c, bound), brute_force_coset(G.gram, c, bound)),
+    ):
+        assert set(res.pairs) == want
+        # the tree's norms, and one solution per +/- pair
+        assert res.norms == tuple(norm(G, v) for v in res.pairs)
+        assert len(set(res.pairs)) == len(res.pairs)
 
 
 # -- suite 6: defect 0 iff a full unit set -----------------------------------------

@@ -131,6 +131,32 @@ def test_root_system_v4(vn):
     assert rs.spanning_rank == 12
 
 
+summands = st.one_of(
+    st.integers(1, 5).map(a_gram),
+    st.integers(2, 5).map(d_gram),
+    st.just(e8_gram()),
+    st.integers(1, 4).map(identity_gram),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.lists(summands, min_size=1, max_size=3).filter(lambda gs: sum(g.rank for g in gs) <= 14),
+    st.randoms(use_true_random=False),
+)
+def test_root_system_of_scrambled_sums(parts, rng):
+    G = parts[0]
+    for part in parts[1:]:
+        G = direct_sum(G, part)
+    U = random_unimodular(rng, G.rank, steps=3 * G.rank)
+    got = root_system(GramMatrix(apply_basis_change(G.gram, U)))
+    want = root_system(G)
+    assert got.components == want.components
+    assert len(got.units) == len(want.units)
+    assert got.core == want.core
+    assert got.spanning_rank == want.spanning_rank
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.integers(1, 8),
