@@ -13,15 +13,16 @@ nonstandardness without any enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     GramMatrix,
+    _image,
     enumerate_coset,
     inner,
-    norm,
 )
 from hermlat.ring import LaurentPoly
 
@@ -30,12 +31,14 @@ Vector = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class CharReport:
-    """Minimal characteristic data of a definite unimodular lattice."""
+    """Minimal characteristic data of a definite unimodular lattice, and
+    the enumeration nodes that finding it took."""
 
     min_norm: int
     defect: int
     mu: int
     minimizers: Tuple[Vector, ...]
+    nodes: int
 
 
 def char_rep(G: GramMatrix) -> Vector:
@@ -59,19 +62,20 @@ def char_rep(G: GramMatrix) -> Vector:
     return tuple(rows[pivot_of_col[col]][r] for col in range(r))
 
 
+def _characteristic_norm(G: GramMatrix, w: Sequence[int]) -> Optional[int]:
+    """|w|^2 when w is characteristic, else None, both read off one product
+    G w: (w, e_i) = (G w)_i must agree with (e_i, e_i) mod 2 on every basis
+    vector (sufficient by bilinearity), and |w|^2 = w . G w."""
+    image = _image(G, w)
+    if any((a - b) % 2 for a, b in zip(image, G.diagonal())):
+        return None
+    return sum(map(mul, image, w))
+
+
 def is_characteristic(G: GramMatrix, w: Sequence[int]) -> bool:
     """(w, e_i) = (e_i, e_i) mod 2 on all basis vectors (sufficient by
-    bilinearity)."""
-    r = G.rank
-    if len(w) != r:
-        raise ValueError("vector length must match rank")
-    g = G.gram
-    for i in range(r):
-        row = g[i]
-        s = sum(row[j] * wj for j, wj in enumerate(w) if wj)
-        if (s - row[i]) % 2:
-            return False
-    return True
+    bilinearity), from one product G w."""
+    return _characteristic_norm(G, w) is not None
 
 
 def min_characteristic(
@@ -83,7 +87,8 @@ def min_characteristic(
     the search starts at rank mod 8 and widens by 8 until nonempty.  That
     congruence, and with it the defect, needs determinant 1: other inputs
     raise ValueError.  ``max_nodes`` bounds the nodes of all the passes
-    together; each pass gets what the earlier ones left.
+    together; each pass gets what the earlier ones left, and the report's
+    ``nodes`` is what they spent.
     """
     if G.determinant() != 1:
         raise ValueError("lattice is not unimodular (determinant != 1)")
@@ -106,7 +111,7 @@ def min_characteristic(
         raise AssertionError("characteristic norm violates the mod-8 congruence")
     d = (r - mn) // 8
     mu = sum(1 if all(x == 0 for x in v) else 2 for v in minimizers)
-    return CharReport(mn, d, mu, minimizers)
+    return CharReport(mn, d, mu, minimizers, spent)
 
 
 def is_standard(
@@ -163,10 +168,12 @@ def check_orthonormal_certificate(G: GramMatrix, cert: dict) -> bool:
 
 def defect_certificate_check(G: GramMatrix, w: Sequence[int], d: int) -> bool:
     """True iff w certifies defect >= d: characteristic with
-    |w|^2 <= rank - 8d.  Quadratic time, no enumeration."""
+    |w|^2 <= rank - 8d.  One product G w gives both tests: quadratic time,
+    no enumeration."""
     if len(w) != G.rank:
         return False
-    return is_characteristic(G, w) and norm(G, w) <= G.rank - 8 * d
+    nw = _characteristic_norm(G, w)
+    return nw is not None and nw <= G.rank - 8 * d
 
 
 # -- closed-form witnesses for the rank-4 transfer family ---------------------

@@ -20,11 +20,10 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from hermlat.charvec import (
     CharReport,
+    _characteristic_norm,
     char_witness,
     check_orthonormal_certificate,
-    defect_certificate_check,
     floor3_multiplier,
-    is_characteristic,
     is_standard,
     min_characteristic,
     specific_criterion,
@@ -41,7 +40,7 @@ from hermlat.forms import (
     reduce_form,
     transfer,
 )
-from hermlat.lattice import GramMatrix, canonical_rep, direct_sum, inner, norm
+from hermlat.lattice import GramMatrix, canonical_rep, direct_sum, inner
 from hermlat.ring import LaurentPoly, format_laurent, sym_power
 from hermlat.roots import (
     RootSystemReport,
@@ -86,10 +85,9 @@ def _name(G: GramMatrix, budget: int) -> str:
 
 
 def _witness_holds(G: GramMatrix, w: Sequence[int], target: int) -> bool:
-    """w has norm target < rank and certifies defect >= (rank - target) // 8."""
-    return norm(G, w) == target < G.rank and defect_certificate_check(
-        G, w, (G.rank - target) // 8
-    )
+    """w is characteristic of norm target < rank, so it certifies defect >=
+    (rank - target) // 8 (`defect_certificate_check`), from one product G w."""
+    return _characteristic_norm(G, w) == target < G.rank
 
 
 def _range_claim(
@@ -108,8 +106,7 @@ def _range_claim(
 
 
 def _char_witness_norm(n: int) -> bool:
-    G, w = _vn(n), char_witness(n)
-    return is_characteristic(G, w) and norm(G, w) == 4 * n
+    return _characteristic_norm(_vn(n), char_witness(n)) == 4 * n
 
 
 def _floor3_witness(n: int) -> bool:

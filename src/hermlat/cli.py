@@ -56,6 +56,14 @@ def _dump_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _gram_json(G: GramMatrix) -> str:
+    """`_dump_json(G.to_json_dict())` byte for byte, from one join per row
+    instead of json's pure-Python indent encoder.  Entries print as json
+    prints an int (`int.__repr__`)."""
+    rows = "\n    ],\n    [\n      ".join(",\n      ".join(map(int.__repr__, row)) for row in G.gram)
+    return f'{{\n  "gram": [\n    [\n      {rows}\n    ]\n  ],\n  "rank": {G.rank}\n}}\n'
+
+
 def _digit_limit() -> int:
     """The most decimal digits Python converts an int to (0: no limit)."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -136,7 +144,7 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
     G = transfer(Gn)
     det = transfer_determinant(Gn)
     with _printable():
-        text = _dump_json(G.to_json_dict())
+        text = _gram_json(G)
         summary = f"rank: {G.rank}\ndeterminant: {det}\n"
     _write_file(args.out, text)
     sys.stdout.write(summary)
@@ -151,7 +159,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not G.is_positive_definite():
         raise CLIError(EXIT_DOMAIN, "Gram matrix is not positive definite")
     want_all = not (args.defect or args.mu or args.roots or args.standardize)
-    budget = args.budget
+    budget = args.budget  # for the whole call: root_system gets what is left
     skipped = False
     det = G.determinant()
     unimodular = det == 1
@@ -167,8 +175,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if unimodular and want_char:
         try:
             char = min_characteristic(G, max_nodes=budget)
+            budget -= char.nodes
         except BudgetExceeded:
-            skipped = True
+            budget, skipped = 0, True
     if want_all or args.defect:
         report["defect"] = (
             {"min_norm": char.min_norm, "defect": char.defect}

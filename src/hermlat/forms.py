@@ -23,7 +23,7 @@ det transfer(G) without eliminating the rank m*n Gram.
 from __future__ import annotations
 
 from operator import mul
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from hermlat.lattice import GramMatrix
 from hermlat.ring import CyclicElement, LaurentPoly, sym_power
@@ -264,19 +264,21 @@ def transfer(Gn: CyclicForm) -> GramMatrix:
     """Rank m*n integer Gram of the form viewed as a lattice over Z.
 
     Row (i, j) and column (i', j') meet in the coefficient of x^((j'-j) mod n)
-    of G[i][i'], which is the integer pairing (x^j e_i, x^j' e_i').
+    of G[i][i'], which is the integer pairing (x^j e_i, x^j' e_i').  So the
+    block of row (i, j) under column block i' is the coefficient tuple of
+    G[i][i'] rotated right by j, and each row is built from m such slices,
+    never one entry at a time.
     """
-    m, n = Gn.size, Gn.n
-    rank = m * n
-    rows = [[0] * rank for _ in range(rank)]
-    for i in range(m):
-        for i2 in range(m):
-            coeffs = Gn.entry(i, i2).coeffs
-            for j in range(n):
-                base_r = i * n + j
-                row = rows[base_r]
-                for j2 in range(n):
-                    row[i2 * n + j2] = coeffs[(j2 - j) % n]
+    n = Gn.n
+    rows = []
+    for entries in Gn.rows():
+        coeffs = [e.coeffs for e in entries]
+        for j in range(n):
+            row: List[int] = []
+            for cs in coeffs:
+                row += cs[n - j :]
+                row += cs[: n - j]
+            rows.append(row)
     return GramMatrix(rows)
 
 

@@ -24,8 +24,9 @@ pairs and nothing downstream recomputes a norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt, lcm
-from operator import mul
+from operator import eq, mul
 from typing import List, Sequence, Tuple
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -42,26 +43,43 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+def _int_type(t: type) -> bool:
+    """Whether entries of type t are integers: int and its subclasses, not bool."""
+    return issubclass(t, int) and t is not bool
+
+
 class GramMatrix:
-    """Symmetric integer matrix, the Gram matrix of a based lattice."""
+    """Symmetric integer matrix, the Gram matrix of a based lattice.
+
+    The constructor rejects a matrix that is empty, not square, has an entry
+    that is not an int (bools are rejected), or is not symmetric, with the
+    same message the first offending row or entry would give in a scan in
+    row order.  The checks run over whole rows, types and row/column pairs,
+    so validating a rank-r matrix takes r^2 C-level steps but only O(r)
+    Python-level ones.
+    """
 
     __slots__ = ("_rank", "_gram", "_sweep", "_reduction")
 
     def __init__(self, gram: Sequence[Sequence[int]]):
-        rows = tuple(tuple(row) for row in gram)
+        rows = tuple(map(tuple, gram))
         r = len(rows)
         if r == 0:
             raise ValueError("rank must be positive")
-        for row in rows:
-            if len(row) != r:
-                raise ValueError("gram must be square")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
+        # bulk checks first; on a failure, the row-by-row loop names it
+        types = set(map(type, chain.from_iterable(rows)))
+        if any(len(row) != r for row in rows) or not all(map(_int_type, types)):
+            for row in rows:
+                if len(row) != r:
+                    raise ValueError("gram must be square")
+                if not all(_int_type(type(v)) for v in row):
                     raise ValueError("gram entries must be integers")
-        for i in range(r):
-            for j in range(i + 1, r):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"asymmetric at ({i},{j})")
+        # one row against one column at a time, never a transposed copy
+        if not all(map(eq, rows, zip(*rows))):
+            for i in range(r):
+                for j in range(i + 1, r):
+                    if rows[i][j] != rows[j][i]:
+                        raise ValueError(f"asymmetric at ({i},{j})")
         self._rank = r
         self._gram = rows
         self._sweep = None
@@ -144,6 +162,14 @@ def inner(G: GramMatrix, u: Sequence[int], v: Sequence[int]) -> int:
 
 def norm(G: GramMatrix, v: Sequence[int]) -> int:
     return inner(G, v, v)
+
+
+def _image(G: GramMatrix, v: Sequence[int]) -> Vector:
+    """G v, one C-level dot product per row.  One product gives both the
+    parities (v, e_i) and the norm (v, v) = v . G v."""
+    if len(v) != G.rank:
+        raise ValueError("vector length must match rank")
+    return tuple(sum(map(mul, row, v)) for row in G.gram)
 
 
 def direct_sum(G1: GramMatrix, G2: GramMatrix) -> GramMatrix:

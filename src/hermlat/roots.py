@@ -31,6 +31,7 @@ from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
     GramMatrix,
     _bareiss,
+    _image,
     enumerate_short,
     inner,
     norm,
@@ -213,7 +214,7 @@ def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSyst
     found = enumerate_short(G, 2, max_nodes=max_nodes)
     units = [v for v, nv in zip(found.pairs, found.norms) if nv == 1]
     roots = [v for v, nv in zip(found.pairs, found.norms) if nv == 2]
-    images = [tuple(sum(map(mul, row, v)) for row in G.gram) for v in roots]
+    images = [_image(G, v) for v in roots]
     components, core = [], []
     for comp in _root_graph(roots, images):
         typed = _component_type(_int_rank([roots[i] for i in comp]), 2 * len(comp))

@@ -115,8 +115,35 @@ def box_size(gram: Sequence[Sequence[int]], bound: int) -> int:
     return size
 
 
-def _norm(gram, v) -> int:
+def entrywise_norm(gram, v) -> int:
     return sum(v[i] * gram[i][j] * v[j] for i in range(len(v)) for j in range(len(v)))
+
+
+def entrywise_is_characteristic(gram, w) -> bool:
+    """(w, e_i) = (e_i, e_i) mod 2 for every i, summed one entry at a time."""
+    r = len(gram)
+    return all((sum(gram[i][j] * w[j] for j in range(r)) - gram[i][i]) % 2 == 0 for i in range(r))
+
+
+def entrywise_gram_error(gram) -> Optional[str]:
+    """The ValueError message of `GramMatrix(gram)`, or None when it accepts:
+    the entry-by-entry scan the constructor made before its checks ran in
+    bulk, kept as the reference for their order and messages."""
+    rows = tuple(tuple(row) for row in gram)
+    r = len(rows)
+    if r == 0:
+        return "rank must be positive"
+    for row in rows:
+        if len(row) != r:
+            return "gram must be square"
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool):
+                return "gram entries must be integers"
+    for i in range(r):
+        for j in range(i + 1, r):
+            if rows[i][j] != rows[j][i]:
+                return f"asymmetric at ({i},{j})"
+    return None
 
 
 def _canon(v: Sequence[int]) -> Vec:
@@ -132,7 +159,7 @@ def brute_force_short(gram: Sequence[Sequence[int]], bound: int) -> Set[Vec]:
     out: Set[Vec] = set()
     for v in product(*(range(-r, r + 1) for r in radii)):
         if any(v):
-            if _norm(gram, v) <= bound:
+            if entrywise_norm(gram, v) <= bound:
                 out.add(_canon(v))
     return out
 
@@ -146,7 +173,7 @@ def brute_force_coset(
     out: Set[Vec] = set()
     for v in product(*(range(-r, r + 1) for r in radii)):
         if all((x - y) % 2 == 0 for x, y in zip(v, c)):
-            if _norm(gram, v) <= bound:
+            if entrywise_norm(gram, v) <= bound:
                 out.add(_canon(v))
     return out
 

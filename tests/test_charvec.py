@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import entrywise_is_characteristic, entrywise_norm
 from hermlat.charvec import (
     char_rep,
     char_witness,
@@ -18,6 +19,7 @@ from hermlat.charvec import (
     witness_vector,
 )
 from hermlat.lattice import GramMatrix, direct_sum, enumerate_short, norm
+from hermlat.claims import _witness_holds
 from hermlat.ring import LaurentPoly, sym_power
 from hermlat.roots import gamma_gram, identity_gram, root_system
 
@@ -137,6 +139,39 @@ def test_defect_certificate_examples(vn):
     assert defect_certificate_check(vn(3), witness_vector(3, (1,)), 1)
     assert not defect_certificate_check(identity_gram(4), (1, 1, 1, 1), 1)
     assert not defect_certificate_check(identity_gram(4), (1, 1, 1), 0)
+
+
+def _witness_cases(n):
+    """(witness, target norm) at modulus n: the norm-element witness, w - 2 e_1
+    and the floor(n/3) witness, and copies of each with one coordinate moved
+    by +-1 (no longer characteristic) or +-2 (characteristic, another norm)."""
+    a3 = floor3_multiplier(n)
+    bases = [
+        (char_witness(n), 4 * n),
+        (witness_vector(n, (1,)), 4 * n - 8),
+        (witness_vector(n, a3), wa_norm(n, a3)),
+    ]
+    for w, target in bases:
+        yield w, target
+        for k in (0, n + n // 2, 2 * n + 1, 4 * n - 1):
+            for step in (-2, -1, 1, 2):
+                v = list(w)
+                v[k] += step
+                yield tuple(v), target
+
+
+def test_witness_checks_match_entrywise_definitions(vn):
+    for n in range(3, 31):
+        G = vn(n)
+        r, g = G.rank, G.gram
+        for w, target in _witness_cases(n):
+            char, nw = entrywise_is_characteristic(g, w), entrywise_norm(g, w)
+            assert is_characteristic(G, w) == char
+            for d in (0, 1, n // 3, n // 3 + 1):
+                assert defect_certificate_check(G, w, d) == (char and nw <= r - 8 * d)
+            want = nw == target < r and char and nw <= r - 8 * ((r - target) // 8)
+            assert _witness_holds(G, w, target) == want
+            assert _witness_holds(G, w, nw) == (char and nw < r)
 
 
 def test_char_witness_shape():

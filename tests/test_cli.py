@@ -15,8 +15,9 @@ import hermlat.cli as cli
 import hermlat.lattice as lattice
 import hermlat.roots as roots
 from oracles import apply_basis_change, e8_gram, random_unimodular
+from hermlat.charvec import min_characteristic
 from hermlat.forms import build_form_power, reduce_form, transfer
-from hermlat.lattice import GramMatrix, direct_sum
+from hermlat.lattice import GramMatrix, direct_sum, enumerate_short
 from hermlat.roots import identity_gram
 
 
@@ -72,6 +73,25 @@ def test_transfer_round_trip(tmp_path, capsys):
     assert G.diagonal() == (3,) * 6 + (2,) * 6
     # files re-serialize bit-identically
     assert cli._dump_json(json.loads(gram_file.read_text())) == gram_file.read_text()
+    # and so do the rank-4 and rank-288 files of the direct writer
+    for n in (1, 72):
+        run(capsys, "transfer", str(form_file), "--n", str(n), "--out", str(gram_file))
+        assert cli._dump_json(json.loads(gram_file.read_text())) == gram_file.read_text()
+
+
+@st.composite
+def _symmetric_grams(draw):
+    """Symmetric Grams of rank 1..8 with negative and multi-digit entries."""
+    r = draw(st.integers(1, 8))
+    entry = st.integers(-9, 9) | st.integers(-(10**30), 10**30)
+    upper = {(i, j): draw(entry) for i in range(r) for j in range(i, r)}
+    return GramMatrix([[upper[min(i, j), max(i, j)] for j in range(r)] for i in range(r)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_symmetric_grams())
+def test_gram_writer_matches_the_json_encoder(G):
+    assert cli._gram_json(G) == cli._dump_json(G.to_json_dict())
 
 
 def test_transfer_errors(tmp_path, capsys):
@@ -161,10 +181,14 @@ def test_analyze_determinant_too_long_to_print(tmp_path, capsys):
 
 def test_transfer_determinant_too_long_to_print(tmp_path, capsys):
     form_file, out = tmp_path / "F.json", tmp_path / "G.json"
-    form_file.write_text(json.dumps({"size": 1, "entries": [[{"0": 10**4000}]]}))
-    code, stdout, err = run(capsys, "transfer", str(form_file), "--n", "3", "--out", str(out))
-    assert code == 3 and stdout == "" and _one_error_line(err)
-    assert not out.exists()
+    # a 4001-digit entry whose determinant is too long, and at n = 1 three
+    # 4300-digit coefficients that fold into a Gram entry of 4301 digits
+    big = 9 * 10**4299
+    for entry, n in (({"0": 10**4000}, 3), ({"0": big, "1": big, "-1": big}, 1)):
+        form_file.write_text(json.dumps({"size": 1, "entries": [[entry]]}))
+        code, stdout, err = run(capsys, "transfer", str(form_file), "--n", str(n), "--out", str(out))
+        assert code == 3 and stdout == "" and _one_error_line(err)
+        assert not out.exists()
 
 
 _json_values = st.recursive(
@@ -314,6 +338,31 @@ def test_analyze_budget_exhaustion(tmp_path, capsys):
     code, stdout, _ = run(capsys, "analyze", str(gram_file), "--defect", "--budget", "10")
     assert code == 4
     assert json.loads(stdout)["defect"] == {"status": "skipped(budget)"}
+
+
+def test_analyze_budget_covers_the_whole_call(tmp_path, capsys, vn):
+    # scrambled V4: a budget that covers the coset and the root pass one at a
+    # time, but not both, leaves the sections after the coset skipped
+    G = GramMatrix(apply_basis_change(vn(4).gram, random_unimodular(random.Random(5), 16, steps=48)))
+    path = tmp_path / "V4.json"
+    path.write_text(json.dumps(G.to_json_dict()))
+    coset = min_characteristic(G).nodes
+    roots_pass = enumerate_short(G, 2).nodes
+    code, full, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    code, stdout, _ = run(capsys, "analyze", str(path), "--budget", str(coset + roots_pass))
+    assert code == 0 and stdout == full
+    skipped = {"status": "skipped(budget)"}
+    for budget in (max(coset, roots_pass), coset + roots_pass - 1, coset):
+        code, stdout, _ = run(capsys, "analyze", str(path), "--budget", str(budget))
+        report = json.loads(stdout)
+        assert code == 4
+        assert report["defect"] == json.loads(full)["defect"]
+        assert report["roots"] == report["standard"] == skipped
+        assert report["identification"] is None
+    code, stdout, _ = run(capsys, "analyze", str(path), "--budget", str(coset - 1))
+    report = json.loads(stdout)
+    assert code == 4 and report["defect"] == report["mu"] == report["roots"] == skipped
 
 
 def test_analyze_determinism(tmp_path, capsys):

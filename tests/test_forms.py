@@ -216,10 +216,10 @@ COEFF = st.integers(-3, 3)
 
 
 @st.composite
-def hermitian_cyclic_forms(draw):
-    """Random hermitian CyclicForm, m 1..5, n 1..9; now and then the last
-    row and column repeat the first, which makes it singular."""
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+def hermitian_cyclic_forms(draw, max_m=5):
+    """Random hermitian CyclicForm, m 1..max_m, n 1..9; now and then the
+    last row and column repeat the first, which makes it singular."""
+    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, 9))
     rows = [[None] * m for _ in range(m)]
     for i in range(m):
         c = draw(st.lists(COEFF, min_size=n, max_size=n))
@@ -265,6 +265,24 @@ def test_ring_det_matches_laplace(G, n):
     assert delta == laplace_det(G.rows(), LaurentPoly.one())
     # reduction mod x^n - 1 is a ring map, so it commutes with det
     assert _ring_det(reduce_form(G, n).rows(), CyclicElement.one(n)) == delta.reduce(n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hermitian_cyclic_forms(max_m=4))
+def test_transfer_matches_sesq_pi_on_random_forms(Gn):
+    # entry by entry against the pairing of the basis vectors x^j e_i
+    m, n = Gn.size, Gn.n
+    basis = []
+    for i in range(m):
+        for j in range(n):
+            v = module_basis_vector(m, i, n)
+            v[i] = CyclicElement.monomial(n, j)
+            basis.append(v)
+    G = transfer(Gn)
+    assert G.rank == m * n
+    for a, u in enumerate(basis):
+        for b, v in enumerate(basis):
+            assert G.entry(a, b) == sesq_eval(Gn, u, v).pi()
 
 
 def test_transfer_determinant_examples():

@@ -1,7 +1,7 @@
 """Integer lattices: validation, reduction, exact enumeration."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -10,6 +10,7 @@ from oracles import (
     brute_force_short,
     d_gram,
     e8_gram,
+    entrywise_gram_error,
     frac_det,
     frac_enumerate_coset,
     frac_enumerate_short,
@@ -40,6 +41,60 @@ def test_gram_validation():
         GramMatrix([[1, 0], [0]])
     with pytest.raises(ValueError):
         GramMatrix([[True, 0], [0, 1]])
+
+
+class _Int(int):
+    """An int subclass: accepted as a Gram entry, like int itself."""
+
+
+_BAD_ENTRIES = st.sampled_from([True, False, 1.0, -2.5, "1", None]) | st.integers(-99, 99).map(_Int)
+
+
+@st.composite
+def _gram_inputs(draw):
+    """Square symmetric integer lists of rank 0..6 (multi-digit and negative
+    entries, sometimes int subclasses) with up to three edits: one entry
+    flipped off symmetry, a row made ragged or dropped, or an entry replaced
+    by a bool, float, str, None or int-subclass value."""
+    r = draw(st.integers(0, 6))
+    entry = st.integers(-(10**12), 10**12) | st.integers(-99, 99).map(_Int)
+    upper = {(i, j): draw(entry) for i in range(r) for j in range(i, r)}
+    rows = [[upper[min(i, j), max(i, j)] for j in range(r)] for i in range(r)]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, max(len(rows[i]) - 1, 0)))
+        kind = draw(st.sampled_from(["flip", "ragged", "drop", "entry"]))
+        if kind == "flip" and j < len(rows[i]):
+            rows[i][j] += draw(st.sampled_from([-2, -1, 1, 2]))
+        elif kind == "ragged":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [0]
+        elif kind == "drop":
+            del rows[i]
+        elif j < len(rows[i]):
+            rows[i][j] = draw(_BAD_ENTRIES)
+    return rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_gram_inputs())
+@example([[None, 0], [0]])  # a bad entry in an earlier row than a short one
+@example([[1, True], [0, 1, 2]])
+@example([[1, 0], [0, 1, 2.0]])  # a long row before its bad entry
+@example([[1, 2], ["2", 1]])  # types before symmetry
+@example([[_Int(1), 2], [2, _Int(1)]])
+@example([[1, 2, 3], [2, 1, 4], [3, 5, 1]])
+def test_gram_validation_matches_the_entrywise_scan(rows):
+    # the bulk checks accept and reject as the per-entry scan does, with the
+    # same message, naming the same first asymmetric (i, j)
+    want = entrywise_gram_error(rows)
+    if want is None:
+        assert GramMatrix(rows).gram == tuple(map(tuple, rows))
+    else:
+        with pytest.raises(ValueError) as exc:
+            GramMatrix(rows)
+        assert str(exc.value) == want
 
 
 def test_determinant_and_minors():
