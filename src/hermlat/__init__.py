@@ -7,8 +7,10 @@ eliminations): nothing is floated and no rationals appear."""
 
 from hermlat.charvec import (
     CharReport,
+    DefectReport,
     char_rep,
     char_witness,
+    characteristic_defect,
     defect_certificate_check,
     is_characteristic,
     is_standard,

@@ -5,9 +5,13 @@ mod 2 for every v; they form a single coset of 2*lattice when the
 determinant is odd.  All characteristic norms agree mod 8 with the rank
 (van der Blij), the defect (rank - minimal norm)/8 is a nonnegative
 integer, and it vanishes exactly for the standard lattice.  This module
-computes those invariants by exact coset enumeration and also provides the
-closed-form witness vectors for the rank-4 transfer family that certify
-nonstandardness without any enumeration.
+computes those invariants by exact coset enumeration, in passes that widen
+by 8 until one is nonempty: `min_characteristic` lists that pass's
+minimizers (for mu and standardness), and `characteristic_defect` stops it
+at its first solution, which gives the defect with one minimal vector as
+its witness.  It also provides the closed-form witness vectors for the
+rank-4 transfer family that certify nonstandardness without any
+enumeration.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
+    EnumerationResult,
     GramMatrix,
+    _first_in_coset,
     _image,
     enumerate_coset,
     inner,
@@ -78,40 +84,90 @@ def is_characteristic(G: GramMatrix, w: Sequence[int]) -> bool:
     return _characteristic_norm(G, w) is not None
 
 
-def min_characteristic(
-    G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET
-) -> CharReport:
-    """Exact minimal characteristic norm, all minimizers, mu, and defect.
+@dataclass(frozen=True)
+class DefectReport:
+    """Minimal characteristic norm and defect of a definite unimodular
+    lattice, one characteristic vector of that norm, and the enumeration
+    nodes that finding it took."""
+
+    min_norm: int
+    defect: int
+    witness: Vector
+    nodes: int
+
+
+def _widen(
+    G: GramMatrix, max_nodes: int, search: Callable[..., EnumerationResult]
+) -> Tuple[EnumerationResult, int]:
+    """The first nonempty coset pass and the nodes of all passes so far.
 
     Characteristic norms lie in one residue class mod 8 (van der Blij), so
-    the search starts at rank mod 8 and widens by 8 until nonempty.  That
-    congruence, and with it the defect, needs determinant 1: other inputs
-    raise ValueError.  ``max_nodes`` bounds the nodes of all the passes
-    together; each pass gets what the earlier ones left, and the report's
-    ``nodes`` is what they spent.
+    the passes run at bounds rank mod 8, +8, ... until one is nonempty;
+    each empty pass proves that no characteristic vector has a norm up to
+    its bound.  ``search(G, c, bound, max_nodes)`` is one pass:
+    `enumerate_coset` lists it, `_first_in_coset` stops at its first
+    solution.  The passes share ``max_nodes``: each gets what the earlier
+    ones left.  The congruence needs determinant 1: other inputs raise
+    ValueError.
     """
     if G.determinant() != 1:
         raise ValueError("lattice is not unimodular (determinant != 1)")
-    r = G.rank
     c = char_rep(G)
-    bound = r % 8
+    bound = G.rank % 8
     spent = 0
     while True:
         try:
-            found = enumerate_coset(G, c, bound, max_nodes=max_nodes - spent)
+            found = search(G, c, bound, max_nodes - spent)
         except BudgetExceeded as exc:
             raise BudgetExceeded(spent + exc.nodes, max_nodes) from None
         spent += found.nodes
         if found.pairs:
-            break
+            return found, spent
         bound += 8
+
+
+def _defect_of(r: int, min_norm: int) -> int:
+    if (r - min_norm) % 8:
+        raise AssertionError("characteristic norm violates the mod-8 congruence")
+    return (r - min_norm) // 8
+
+
+def min_characteristic(
+    G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET
+) -> CharReport:
+    """Exact minimal characteristic norm, all minimizers, mu, and defect,
+    from the full listing of the first nonempty pass (`_widen`).
+    ``max_nodes`` bounds the nodes of all the passes together, and the
+    report's ``nodes`` is what they spent.  Determinants other than 1
+    raise ValueError.
+    """
+    found, spent = _widen(G, max_nodes, enumerate_coset)
     mn = min(found.norms)
     minimizers = tuple(v for v, nv in zip(found.pairs, found.norms) if nv == mn)
-    if (r - mn) % 8:
-        raise AssertionError("characteristic norm violates the mod-8 congruence")
-    d = (r - mn) // 8
     mu = sum(1 if all(x == 0 for x in v) else 2 for v in minimizers)
-    return CharReport(mn, d, mu, minimizers, spent)
+    return CharReport(mn, _defect_of(G.rank, mn), mu, minimizers, spent)
+
+
+def characteristic_defect(
+    G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET
+) -> DefectReport:
+    """Exact minimal characteristic norm and defect, with one minimizer as
+    the witness, without listing the minimizers.
+
+    The passes of `_widen` below the first nonempty one are exhausted, so
+    no characteristic vector is shorter than that pass's bound; the pass
+    itself stops at its first solution, whose norm is the bound by the
+    mod-8 congruence.  That leaf is the witness, and it is re-checked in
+    integers (`defect_certificate_check` holds for it).  ``max_nodes``
+    bounds the nodes of all the passes together, and the report's
+    ``nodes`` is what they spent.  Determinants other than 1 raise
+    ValueError.
+    """
+    found, spent = _widen(G, max_nodes, _first_in_coset)
+    (w,), (mn,) = found.pairs, found.norms
+    if _characteristic_norm(G, w) != mn:
+        raise AssertionError("the first leaf is not characteristic of its norm")
+    return DefectReport(mn, _defect_of(G.rank, mn), w, spent)
 
 
 def is_standard(

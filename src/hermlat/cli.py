@@ -22,7 +22,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Sequence
 
-from hermlat.charvec import is_standard, min_characteristic
+from hermlat.charvec import characteristic_defect, is_standard, min_characteristic
 from hermlat.claims import claim_list as _claim_list
 from hermlat.forms import (
     HermitianForm,
@@ -169,12 +169,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "parity": "odd" if G.is_odd() else "even",
     }
 
-    want_char = want_all or args.defect or args.mu or args.standardize
+    listing = want_all or args.mu or args.standardize
+    want_char = listing or args.defect
     missing = {"status": "skipped(budget)" if unimodular else "not unimodular"}
     char = None
     if unimodular and want_char:
+        # the defect alone needs no minimizer list: stop at the first one
+        search = min_characteristic if listing else characteristic_defect
         try:
-            char = min_characteristic(G, max_nodes=budget)
+            char = search(G, max_nodes=budget)
             budget -= char.nodes
         except BudgetExceeded:
             budget, skipped = 0, True

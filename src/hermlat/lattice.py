@@ -18,7 +18,9 @@ vector of each +/- pair (the sign rule of Schnorr & Euchner, *Math.
 Programming* 66, 1994: the last nonzero coordinate in the reduced basis is
 positive), and its leaves know each solution's exact norm, so an
 ``EnumerationResult`` carries the norms and the node count along with the
-pairs and nothing downstream recomputes a norm.
+pairs and nothing downstream recomputes a norm.  A coset search can also
+stop at its first solution (`_first_in_coset`), for callers that need one
+vector of the coset within the bound and not the list.
 """
 
 from __future__ import annotations
@@ -372,10 +374,17 @@ class _Budget:
             raise BudgetExceeded(self.used, self.limit)
 
 
-def _enumerate(d, lam, U, parity: Sequence[int], step: int, bound: int, budget: _Budget):
+class _FirstLeaf(Exception):
+    """Ends a search that stops at its first solution."""
+
+
+def _enumerate(
+    d, lam, U, parity: Sequence[int], step: int, bound: int, budget: _Budget, first: bool = False
+):
     """(U w, w^T G w) for one w of each +/- pair of integer vectors with
     w_j = parity_j (mod step) and w^T G w <= bound, where G is the reduced
-    Gram matrix and U maps its basis to the input basis.
+    Gram matrix and U maps its basis to the input basis.  With ``first``
+    the search ends at its first solution and returns that one alone.
 
     Fincke-Pohst over the integral Gram-Schmidt data (d, lam) of G.  With
     x_j = d[j+1] w_j + sum_{i>j} lam_ij w_i the form is
@@ -388,7 +397,8 @@ def _enumerate(d, lam, U, parity: Sequence[int], step: int, bound: int, budget: 
     along the path, one column of U per nonzero level, and at a leaf the
     scaled slack left is M (bound - norm), which gives the norm exactly: a
     solution costs O(r) beyond its node.  Every level visited counts one
-    node against the budget.
+    node against the budget; stopping costs one test per solution, none
+    per node.
     """
     r = len(lam)
     M = lcm(*(d[j] * d[j + 1] for j in range(r)))
@@ -416,11 +426,16 @@ def _enumerate(d, lam, U, parity: Sequence[int], step: int, bound: int, budget: 
             u = [a + cand * b for a, b in zip(v, uj)] if cand else v
             if j == 0:
                 sols.append((u, bound - (remaining - wj * x * x) // M))
+                if first:
+                    raise _FirstLeaf
             else:
                 rec(j - 1, remaining - wj * x * x, top and not cand, u)
         w[j] = 0
 
-    rec(r - 1, M * bound, True, [0] * r)
+    try:
+        rec(r - 1, M * bound, True, [0] * r)
+    except _FirstLeaf:
+        pass
     return sols
 
 
@@ -457,6 +472,18 @@ def enumerate_coset(
     enumeration runs in the LLL basis, where the coset is w = U^-1 c (mod 2),
     and steps each coordinate through its residue class directly.
     """
+    return _search_coset(G, c, bound, max_nodes, False)
+
+
+def _first_in_coset(G: GramMatrix, c: Sequence[int], bound: int, max_nodes: int) -> EnumerationResult:
+    """The first pair of `enumerate_coset`'s tree, or none: the search stops
+    at its first solution, and ``nodes`` counts the nodes up to it."""
+    return _search_coset(G, c, bound, max_nodes, True)
+
+
+def _search_coset(
+    G: GramMatrix, c: Sequence[int], bound: int, max_nodes: int, first: bool
+) -> EnumerationResult:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     r = G.rank
@@ -466,5 +493,5 @@ def enumerate_coset(
     c2 = [ci % 2 for ci in c]
     cr = [sum(Uinv[i][j] * c2[j] for j in range(r)) % 2 for i in range(r)]
     budget = _Budget(max_nodes)
-    sols = _enumerate(d, lam, U, cr, 2, bound, budget)
+    sols = _enumerate(d, lam, U, cr, 2, bound, budget, first)
     return EnumerationResult(bound, *_input_pairs(sols), budget.used)

@@ -163,11 +163,6 @@ class RootSystemReport:
         return f"{name}+I{k}" if k else name
 
 
-def _int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q, from the fraction-free sweep that also gives determinants."""
-    return _bareiss(rows)[1]
-
-
 def _component_type(rank: int, count: int) -> Tuple[str, int, int]:
     if count == rank * (rank + 1):
         return ("A", rank, count)
@@ -217,14 +212,14 @@ def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSyst
     images = [_image(G, v) for v in roots]
     components, core = [], []
     for comp in _root_graph(roots, images):
-        typed = _component_type(_int_rank([roots[i] for i in comp]), 2 * len(comp))
+        typed = _component_type(_bareiss([roots[i] for i in comp])[1], 2 * len(comp))
         components.append(typed)
         if not any(sum(map(mul, images[i], u)) for i in comp for u in units):
             core.append(typed)
     return RootSystemReport(
         components=tuple(sorted(components)),
         total_roots=2 * len(roots),
-        spanning_rank=_int_rank(roots),
+        spanning_rank=_bareiss(roots)[1],
         units=tuple(units),
         core=tuple(sorted(core)),
     )

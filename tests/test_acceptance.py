@@ -64,6 +64,7 @@ CRITERIA = {
 def _check(key):
     # the reports are cached for the whole process; clear them so each
     # criterion times its own enumerations, whatever ran before it
+    claims._defect.cache_clear()
     claims._char.cache_clear()
     claims._roots.cache_clear()
     for seconds, ids in CRITERIA[key]:

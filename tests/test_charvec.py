@@ -1,11 +1,22 @@
 """Characteristic vectors, defect, standardness certificates, witness family."""
 
-import pytest
+import random
 
-from oracles import entrywise_is_characteristic, entrywise_norm
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    apply_basis_change,
+    e8_gram,
+    entrywise_is_characteristic,
+    entrywise_norm,
+    random_unimodular,
+)
 from hermlat.charvec import (
     char_rep,
     char_witness,
+    characteristic_defect,
     _orthonormal_columns,
     check_orthonormal_certificate,
     defect_certificate_check,
@@ -44,8 +55,9 @@ def test_char_rep_even_determinant_rejected():
 
 def test_min_characteristic_rejects_non_unimodular():
     for rows in ([[2]], [[3]], [[2, 1], [1, 2]]):
-        with pytest.raises(ValueError):
-            min_characteristic(GramMatrix(rows))
+        for search in (min_characteristic, characteristic_defect):
+            with pytest.raises(ValueError):
+                search(GramMatrix(rows))
 
 
 def test_is_characteristic(vn):
@@ -93,6 +105,34 @@ def test_defect_examples(vn):
     assert min_characteristic(vn(1)).defect == 0
     assert min_characteristic(gamma_gram(16)).defect == 2
     assert min_characteristic(vn(3)).defect == 1
+
+
+DEFECT_POOL = ("V3", "V4", "Gamma12", "E8+I4", "I1", "I3", "I5", "I8")
+
+
+def _pool_lattice(name, vn):
+    if name.startswith("V"):
+        return vn(int(name[1:]))
+    if name == "Gamma12":
+        return gamma_gram(12)
+    if name == "E8+I4":
+        return direct_sum(e8_gram(), identity_gram(4))
+    return identity_gram(int(name[1:]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(DEFECT_POOL), st.integers(0, 2**32 - 1))
+def test_defect_route_matches_the_listing(vn, name, seed):
+    # after a basis change the first leaf is one of the listed minimizers,
+    # and the route's norm and defect are the listing's
+    G = _pool_lattice(name, vn)
+    u = random_unimodular(random.Random(seed), G.rank, steps=3 * G.rank)
+    H = GramMatrix(apply_basis_change(G.gram, u))
+    rep, listed = characteristic_defect(H), min_characteristic(H)
+    assert (rep.min_norm, rep.defect) == (listed.min_norm, listed.defect)
+    assert rep.witness in listed.minimizers
+    assert defect_certificate_check(H, rep.witness, rep.defect)
+    assert rep.nodes <= listed.nodes
 
 
 def test_is_standard_small_n(vn):

@@ -15,7 +15,7 @@ import hermlat.cli as cli
 import hermlat.lattice as lattice
 import hermlat.roots as roots
 from oracles import apply_basis_change, e8_gram, random_unimodular
-from hermlat.charvec import min_characteristic
+from hermlat.charvec import characteristic_defect, min_characteristic
 from hermlat.forms import build_form_power, reduce_form, transfer
 from hermlat.lattice import GramMatrix, direct_sum, enumerate_short
 from hermlat.roots import identity_gram
@@ -332,12 +332,30 @@ def test_analyze_not_unimodular(tmp_path, capsys, gram):
 
 
 def test_analyze_budget_exhaustion(tmp_path, capsys):
-    form_file, gram_file = tmp_path / "L.json", tmp_path / "V3.json"
+    # V5 has rank 20, so no identification spends budget after the defect
+    form_file, gram_file = tmp_path / "L.json", tmp_path / "V5.json"
     run(capsys, "build", "--k", "1", "--out", str(form_file))
-    run(capsys, "transfer", str(form_file), "--n", "3", "--out", str(gram_file))
-    code, stdout, _ = run(capsys, "analyze", str(gram_file), "--defect", "--budget", "10")
+    run(capsys, "transfer", str(form_file), "--n", "5", "--out", str(gram_file))
+    nodes = characteristic_defect(GramMatrix.from_json_dict(json.loads(gram_file.read_text()))).nodes
+    code, stdout, _ = run(capsys, "analyze", str(gram_file), "--defect", "--budget", str(nodes - 1))
     assert code == 4
     assert json.loads(stdout)["defect"] == {"status": "skipped(budget)"}
+    code, stdout, _ = run(capsys, "analyze", str(gram_file), "--defect", "--budget", str(nodes))
+    assert code == 0
+    assert json.loads(stdout)["defect"] == {"min_norm": 12, "defect": 1}
+
+
+def test_analyze_defect_alone_does_not_list(tmp_path, capsys, monkeypatch, vn):
+    scrambled = GramMatrix(apply_basis_change(vn(4).gram, random_unimodular(random.Random(5), 16, steps=48)))
+    for G in (vn(3), vn(4), vn(5), scrambled):
+        listed = min_characteristic(G)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(G.to_json_dict()))
+        with monkeypatch.context() as m:
+            m.setattr(cli, "min_characteristic", None)  # the listing is never called
+            code, stdout, _ = run(capsys, "analyze", str(path), "--defect")
+        assert code == 0
+        assert json.loads(stdout)["defect"] == {"min_norm": listed.min_norm, "defect": listed.defect}
 
 
 def test_analyze_budget_covers_the_whole_call(tmp_path, capsys, vn):

@@ -1,5 +1,7 @@
 """Integer lattices: validation, reduction, exact enumeration."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,18 @@ from oracles import (
     frac_lll,
     random_unimodular,
 )
-from hermlat.charvec import char_rep, min_characteristic
+from hermlat.charvec import (
+    char_rep,
+    characteristic_defect,
+    defect_certificate_check,
+    min_characteristic,
+)
+from hermlat.claims import _floor3_witness
 from hermlat.lattice import (
+    _first_in_coset,
     _integral_gso,
     _lll_core,
+    DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     GramMatrix,
     canonical_rep,
@@ -287,6 +297,53 @@ def test_min_characteristic_budget_covers_every_pass(vn):
     _assert_visits_exactly(lambda m: min_characteristic(G, max_nodes=m), total)
 
 
+# (lattice, minimal characteristic norm, defect, nodes of characteristic_defect):
+# the empty passes plus the first pass up to its first leaf
+DEFECT_NODES = (
+    ("V1", 4, 0, 4),
+    ("V2", 8, 0, 9),
+    ("V3", 4, 1, 12),
+    ("V4", 8, 1, 69),
+    ("V5", 12, 1, 158),
+    ("V6", 8, 2, 488),
+    ("V7", 12, 2, 1025),
+    ("V8", 16, 2, 22967),
+    ("V9", 12, 3, 52969),
+    ("V10", 16, 3, 117058),
+    ("Gamma4", 4, 0, 4),
+    ("Gamma8", 0, 1, 8),
+    ("Gamma12", 4, 1, 12),
+    ("Gamma16", 0, 2, 16),
+)
+
+
+@pytest.mark.parametrize("name, min_norm, defect, nodes", DEFECT_NODES)
+def test_defect_route_node_counts(vn, name, min_norm, defect, nodes):
+    """The defect route's node counts are deterministic too.  From V3 on the
+    defect is floor(n/3), the bound the closed-form witness gives, so that
+    witness is minimal there."""
+    G = _oracle_lattice(name, vn)
+    rep = characteristic_defect(G)
+    assert (rep.min_norm, rep.defect, rep.nodes) == (min_norm, defect, nodes)
+    assert defect_certificate_check(G, rep.witness, rep.defect)
+    n = int(name[1:]) if name.startswith("V") else 0
+    if n >= 3:
+        assert rep.defect == n // 3 and _floor3_witness(n)
+
+
+def test_defect_route_budget_covers_every_pass(vn):
+    # V5, rank 20: bound 4 is empty and bound 12 stops at its first leaf;
+    # scrambled V4, rank 16: bound 0 is empty and bound 8 stops there
+    G4 = GramMatrix(apply_basis_change(vn(4).gram, random_unimodular(random.Random(5), 16, steps=48)))
+    for G, empty, first in ((vn(5), 4, 12), (G4, 0, 8)):
+        c = char_rep(G)
+        passed = enumerate_coset(G, c, empty)
+        leaf = _first_in_coset(G, c, first, DEFAULT_NODE_BUDGET)
+        assert not passed.pairs and len(leaf.pairs) == 1
+        total = passed.nodes + leaf.nodes
+        _assert_visits_exactly(lambda m: characteristic_defect(G, max_nodes=m), total)
+
+
 def test_canonical_rep():
     assert canonical_rep((-1, 2)) == (1, -2)
     assert canonical_rep((0, -3, 1)) == (0, 3, -1)
@@ -301,8 +358,8 @@ ORACLE_LATTICES = ("V1", "V2", "V3", "V4", "V5", "E8", "Gamma12")
 def _oracle_lattice(name, vn):
     if name == "E8":
         return e8_gram()
-    if name == "Gamma12":
-        return gamma_gram(12)
+    if name.startswith("Gamma"):
+        return gamma_gram(int(name[5:]))
     return vn(int(name[1:]))
 
 

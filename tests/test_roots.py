@@ -20,9 +20,8 @@ from oracles import (
     random_unimodular,
 )
 from hermlat.charvec import min_characteristic
-from hermlat.lattice import GramMatrix, direct_sum, enumerate_short, inner, norm
+from hermlat.lattice import _bareiss, GramMatrix, direct_sum, enumerate_short, inner, norm
 from hermlat.roots import (
-    _int_rank,
     check_dynkin,
     dynkin_edges,
     gamma_gram,
@@ -170,15 +169,15 @@ def test_int_rank_matches_fraction_elimination(nrows, ncols, k, coeffs):
     a = [coeffs[i * k : (i + 1) * k] for i in range(nrows)]
     b = [coeffs[64 + j * ncols : 64 + (j + 1) * ncols] for j in range(k)]
     rows = [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(ncols)] for i in range(nrows)]
-    assert _int_rank(rows) == frac_rank(rows)
+    assert _bareiss(rows)[1] == frac_rank(rows)
 
 
 def test_int_rank_examples(vn):
-    assert _int_rank([]) == 0
-    assert _int_rank([[0, 0], [0, 0]]) == 0
-    assert _int_rank([[2, 4, 6], [1, 2, 3], [0, 0, 5]]) == 2
+    assert _bareiss([])[1] == 0
+    assert _bareiss([[0, 0], [0, 0]])[1] == 0
+    assert _bareiss([[2, 4, 6], [1, 2, 3], [0, 0, 5]])[1] == 2
     pairs = _root_pairs(vn(4))
-    assert _int_rank(pairs) == frac_rank(pairs) == 16
+    assert _bareiss(pairs)[1] == frac_rank(pairs) == 16
 
 
 def test_check_dynkin_on_simple_roots():
