@@ -5,13 +5,14 @@ mod 2 for every v; they form a single coset of 2*lattice when the
 determinant is odd.  All characteristic norms agree mod 8 with the rank
 (van der Blij), the defect (rank - minimal norm)/8 is a nonnegative
 integer, and it vanishes exactly for the standard lattice.  This module
-computes those invariants by exact coset enumeration, in passes that widen
-by 8 until one is nonempty: `min_characteristic` lists that pass's
-minimizers (for mu and standardness), and `characteristic_defect` stops it
-at its first solution, which gives the defect with one minimal vector as
-its witness.  It also provides the closed-form witness vectors for the
-rank-4 transfer family that certify nonstandardness without any
-enumeration.
+computes those invariants by exact coset enumeration.  The one search is
+`characteristic_defect`: passes that widen by 8 until one is nonempty,
+stopped at that pass's first solution, which gives the defect with one
+minimal vector as its witness.  `min_characteristic` adds one listing pass
+at the norm found, for mu and the minimizers.  `is_standard` reads either
+report and enumerates nothing.  The module also provides the closed-form
+witness vectors for the rank-4 transfer family that certify
+nonstandardness without any enumeration.
 """
 
 from __future__ import annotations
@@ -22,29 +23,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
-    BudgetExceeded,
-    EnumerationResult,
     GramMatrix,
-    _first_in_coset,
+    _Budget,
+    _coset,
     _image,
-    enumerate_coset,
     inner,
 )
 from hermlat.ring import LaurentPoly
 
 Vector = Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CharReport:
-    """Minimal characteristic data of a definite unimodular lattice, and
-    the enumeration nodes that finding it took."""
-
-    min_norm: int
-    defect: int
-    mu: int
-    minimizers: Tuple[Vector, ...]
-    nodes: int
 
 
 def char_rep(G: GramMatrix) -> Vector:
@@ -96,56 +83,32 @@ class DefectReport:
     nodes: int
 
 
-def _widen(
-    G: GramMatrix, max_nodes: int, search: Callable[..., EnumerationResult]
-) -> Tuple[EnumerationResult, int]:
-    """The first nonempty coset pass and the nodes of all passes so far.
+@dataclass(frozen=True)
+class CharReport(DefectReport):
+    """A `DefectReport` with every minimal characteristic vector: mu counts
+    them, and the witness is the first of the sorted ``minimizers``."""
 
-    Characteristic norms lie in one residue class mod 8 (van der Blij), so
-    the passes run at bounds rank mod 8, +8, ... until one is nonempty;
-    each empty pass proves that no characteristic vector has a norm up to
-    its bound.  ``search(G, c, bound, max_nodes)`` is one pass:
-    `enumerate_coset` lists it, `_first_in_coset` stops at its first
-    solution.  The passes share ``max_nodes``: each gets what the earlier
-    ones left.  The congruence needs determinant 1: other inputs raise
-    ValueError.
-    """
+    mu: int
+    minimizers: Tuple[Vector, ...]
+
+
+def _defect_search(G: GramMatrix, budget: _Budget) -> DefectReport:
+    """The search behind `characteristic_defect`, spending from ``budget``."""
     if G.determinant() != 1:
         raise ValueError("lattice is not unimodular (determinant != 1)")
     c = char_rep(G)
     bound = G.rank % 8
-    spent = 0
     while True:
-        try:
-            found = search(G, c, bound, max_nodes - spent)
-        except BudgetExceeded as exc:
-            raise BudgetExceeded(spent + exc.nodes, max_nodes) from None
-        spent += found.nodes
-        if found.pairs:
-            return found, spent
+        pairs, norms = _coset(G, c, bound, budget, first=True)
+        if pairs:
+            break
         bound += 8
-
-
-def _defect_of(r: int, min_norm: int) -> int:
-    if (r - min_norm) % 8:
+    (w,), (mn,) = pairs, norms
+    if _characteristic_norm(G, w) != mn:
+        raise AssertionError("the first leaf is not characteristic of its norm")
+    if (G.rank - mn) % 8:
         raise AssertionError("characteristic norm violates the mod-8 congruence")
-    return (r - min_norm) // 8
-
-
-def min_characteristic(
-    G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET
-) -> CharReport:
-    """Exact minimal characteristic norm, all minimizers, mu, and defect,
-    from the full listing of the first nonempty pass (`_widen`).
-    ``max_nodes`` bounds the nodes of all the passes together, and the
-    report's ``nodes`` is what they spent.  Determinants other than 1
-    raise ValueError.
-    """
-    found, spent = _widen(G, max_nodes, enumerate_coset)
-    mn = min(found.norms)
-    minimizers = tuple(v for v, nv in zip(found.pairs, found.norms) if nv == mn)
-    mu = sum(1 if all(x == 0 for x in v) else 2 for v in minimizers)
-    return CharReport(mn, _defect_of(G.rank, mn), mu, minimizers, spent)
+    return DefectReport(mn, (G.rank - mn) // 8, w, budget.used)
 
 
 def characteristic_defect(
@@ -154,27 +117,46 @@ def characteristic_defect(
     """Exact minimal characteristic norm and defect, with one minimizer as
     the witness, without listing the minimizers.
 
-    The passes of `_widen` below the first nonempty one are exhausted, so
-    no characteristic vector is shorter than that pass's bound; the pass
-    itself stops at its first solution, whose norm is the bound by the
-    mod-8 congruence.  That leaf is the witness, and it is re-checked in
-    integers (`defect_certificate_check` holds for it).  ``max_nodes``
-    bounds the nodes of all the passes together, and the report's
-    ``nodes`` is what they spent.  Determinants other than 1 raise
-    ValueError.
+    Characteristic norms lie in one residue class mod 8 (van der Blij), so
+    coset passes run at bounds rank mod 8, +8, ... until one is nonempty.
+    Each empty pass proves that no characteristic vector has a norm up to
+    its bound; the nonempty pass stops at its first solution, whose norm
+    is the bound by the congruence.  That leaf is the witness, and it is
+    re-checked in integers (`defect_certificate_check` holds for it).
+    ``max_nodes`` bounds the nodes of all the passes together, and the
+    report's ``nodes`` is what they spent.  Determinants other than 1
+    raise ValueError.
     """
-    found, spent = _widen(G, max_nodes, _first_in_coset)
-    (w,), (mn,) = found.pairs, found.norms
-    if _characteristic_norm(G, w) != mn:
-        raise AssertionError("the first leaf is not characteristic of its norm")
-    return DefectReport(mn, _defect_of(G.rank, mn), w, spent)
+    return _defect_search(G, _Budget(max_nodes))
+
+
+def min_characteristic(
+    G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET
+) -> CharReport:
+    """Exact minimal characteristic norm, defect, all minimizers and mu:
+    the `characteristic_defect` search, then one listing pass at the norm
+    it found, in its witness's coset mod 2 (the characteristic coset).
+    ``max_nodes`` bounds the nodes of all the passes together, and the
+    report's ``nodes`` is what they spent.  Determinants other than 1
+    raise ValueError.
+    """
+    budget = _Budget(max_nodes)
+    found = _defect_search(G, budget)
+    minimizers, norms = _coset(G, found.witness, found.min_norm, budget)
+    if any(nv != found.min_norm for nv in norms):
+        raise AssertionError("a characteristic vector is shorter than the defect search found")
+    mu = sum(1 if all(x == 0 for x in v) else 2 for v in minimizers)
+    return CharReport(
+        found.min_norm, found.defect, minimizers[0], budget.used, mu, minimizers
+    )
 
 
 def is_standard(
-    G: GramMatrix, report: CharReport, units: Sequence[Vector]
+    G: GramMatrix, report: DefectReport, units: Sequence[Vector]
 ) -> Tuple[bool, dict]:
     """Decide standardness with an exact certificate either way, from G's
-    `min_characteristic` report and its norm-1 pairs (`root_system(G).units`).
+    `characteristic_defect` or `min_characteristic` report and its norm-1
+    pairs (`root_system(G).units`).
 
     The defect decides: it is 0 exactly for Z^r (Elkies 1995).  True comes
     with an orthonormal basis (columns of a unimodular U with U^T G U = I,
@@ -190,10 +172,9 @@ def is_standard(
         return True, _orthonormal_columns(G, units)
     if len(units) == r:
         raise AssertionError("positive defect but a full set of unit pairs")
-    w = report.minimizers[0]
     return False, {
         "kind": "characteristic_witness",
-        "vector": list(w),
+        "vector": list(report.witness),
         "norm": report.min_norm,
         "rank": r,
     }

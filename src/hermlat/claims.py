@@ -8,11 +8,12 @@ expected, run) tuple per claim; a claim passes when `run()` equals
 Every claim about a lattice reads reports computed once per lattice and
 budget: `_defect` (the defect, from the search that stops at its first
 minimal characteristic vector), `_char` (all minimal characteristic
-vectors, for mu, the minimizers and standardness) and `_roots` (the root
-system).  Up to rank 16 the root system names the lattice
-(SPLAG ch. 16, Table 16.7), and the minimal characteristic norm decides
-standardness (Elkies, Math. Res. Lett. 2, 1995).  Claims on the moduli up
-to 30 use closed-form witnesses that integer arithmetic re-checks instead.
+vectors, for mu and the minimizers) and `_roots` (the root system).
+Standardness and names are pure checks on those reports: the defect
+decides standardness (Elkies, Math. Res. Lett. 2, 1995), and up to rank 16
+the root system names the lattice (`identify`, SPLAG ch. 16, Table 16.7).
+Claims on the moduli up to 30 use closed-form witnesses that integer
+arithmetic re-checks instead.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from hermlat.roots import (
     RootSystemReport,
     check_dynkin,
     gamma_gram,
+    identify,
     identity_gram,
     root_system,
     v4_root_batches,
@@ -83,15 +85,8 @@ def _roots(G: GramMatrix, budget: int) -> RootSystemReport:
 
 
 def _standard(G: GramMatrix, budget: int) -> dict:
-    std, cert = is_standard(G, _char(G, budget), _roots(G, budget).units)
+    std, cert = is_standard(G, _defect(G, budget), _roots(G, budget).units)
     return {"standard": std, "certificate_ok": std and check_orthonormal_certificate(G, cert)}
-
-
-def _name(G: GramMatrix, budget: int) -> str:
-    """`roots.identify(G)`, named from G's cached root report."""
-    if G.determinant() != 1:
-        raise ValueError("identification needs a unimodular lattice (determinant 1)")
-    return _roots(G, budget).lattice_name(G.rank)
 
 
 def _witness_holds(G: GramMatrix, w: Sequence[int], target: int) -> bool:
@@ -280,7 +275,7 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
             "thm-smalln-v3-identify",
             "fingerprint identification of the modulus-3 transfer",
             "Gamma12",
-            lambda: _name(_vn(3), budget),
+            lambda: identify(_vn(3), _roots(_vn(3), budget)),
         ),
         (
             "mu-e8-plus-i4",
@@ -307,7 +302,7 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
             "thm-smalln-v4-identify",
             "fingerprint identification of the modulus-4 transfer",
             "D8^2[(12)]",
-            lambda: _name(_vn(4), budget),
+            lambda: identify(_vn(4), _roots(_vn(4), budget)),
         ),
         (
             "catalog-defect-floor",

@@ -36,7 +36,7 @@ from hermlat.forms import (
 )
 from hermlat.lattice import DEFAULT_NODE_BUDGET, BudgetExceeded, GramMatrix
 from hermlat.ring import format_laurent, parse_laurent
-from hermlat.roots import root_system
+from hermlat.roots import identify, root_system
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -169,12 +169,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "parity": "odd" if G.is_odd() else "even",
     }
 
-    listing = want_all or args.mu or args.standardize
-    want_char = listing or args.defect
+    listing = want_all or args.mu
+    want_standard = want_all or args.standardize
+    want_char = listing or args.defect or want_standard
     missing = {"status": "skipped(budget)" if unimodular else "not unimodular"}
     char = None
     if unimodular and want_char:
-        # the defect alone needs no minimizer list: stop at the first one
+        # the defect and standardness need no minimizer list: stop at the first one
         search = min_characteristic if listing else characteristic_defect
         try:
             char = search(G, max_nodes=budget)
@@ -193,11 +194,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             if char is not None
             else missing
         )
-    want_standard = want_all or args.standardize
-    identifiable = G.rank <= 16 and unimodular
-    # one bound-2 pass gives the roots, the identification and the unit pairs
+    # one bound-2 pass gives the roots, the unit pairs and the identification
+    want_roots = want_all or args.roots
     rs = None
-    if want_all or args.roots or identifiable or (want_standard and char is not None):
+    if want_roots or (want_standard and char is not None):
         try:
             rs = root_system(G, max_nodes=budget)
         except BudgetExceeded:
@@ -210,14 +210,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         else:
             std, cert = is_standard(G, char, rs.units)
             report["standard"] = {"is_standard": std, "certificate": cert}
-    if want_all or args.roots:
+    if want_roots:
         report["roots"] = {"status": "skipped(budget)"} if rs is None else {
             "components": rs.to_json_dict()["components"],
             "total_roots": rs.total_roots,
             "spanning_rank": rs.spanning_rank,
         }
-    if identifiable:
-        report["identification"] = None if rs is None else rs.lattice_name(G.rank)
+    if (want_roots or want_standard) and unimodular and G.rank <= 16:
+        report["identification"] = None if rs is None else identify(G, rs)
     with _printable():
         sys.stdout.write(_dump_json(report))
     if want_char and not unimodular:

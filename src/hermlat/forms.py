@@ -144,11 +144,6 @@ class CyclicForm:
             all(c == 0 for c in e.coeffs[1:]) for row in self._entries for e in row
         )
 
-    def constant_matrix(self) -> GramMatrix:
-        if not self.is_constant():
-            raise ValueError("form is not extended from an integer matrix")
-        return GramMatrix([[e.pi() for e in row] for row in self._entries])
-
 
 # -- the rank-4 family -------------------------------------------------------
 

@@ -18,9 +18,9 @@ vector of each +/- pair (the sign rule of Schnorr & Euchner, *Math.
 Programming* 66, 1994: the last nonzero coordinate in the reduced basis is
 positive), and its leaves know each solution's exact norm, so an
 ``EnumerationResult`` carries the norms and the node count along with the
-pairs and nothing downstream recomputes a norm.  A coset search can also
-stop at its first solution (`_first_in_coset`), for callers that need one
-vector of the coset within the bound and not the list.
+pairs and nothing downstream recomputes a norm.  Callers that chain coset
+passes (`charvec`) run them through `_coset`, which spends from the
+caller's `_Budget` and can stop at its first solution.
 """
 
 from __future__ import annotations
@@ -472,18 +472,16 @@ def enumerate_coset(
     enumeration runs in the LLL basis, where the coset is w = U^-1 c (mod 2),
     and steps each coordinate through its residue class directly.
     """
-    return _search_coset(G, c, bound, max_nodes, False)
+    budget = _Budget(max_nodes)
+    return EnumerationResult(bound, *_coset(G, c, bound, budget), budget.used)
 
 
-def _first_in_coset(G: GramMatrix, c: Sequence[int], bound: int, max_nodes: int) -> EnumerationResult:
-    """The first pair of `enumerate_coset`'s tree, or none: the search stops
-    at its first solution, and ``nodes`` counts the nodes up to it."""
-    return _search_coset(G, c, bound, max_nodes, True)
-
-
-def _search_coset(
-    G: GramMatrix, c: Sequence[int], bound: int, max_nodes: int, first: bool
-) -> EnumerationResult:
+def _coset(
+    G: GramMatrix, c: Sequence[int], bound: int, budget: _Budget, first: bool = False
+) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
+    """The pairs and norms of `enumerate_coset`, spending from ``budget``,
+    so that passes sharing one budget raise `BudgetExceeded` with their
+    total.  With ``first`` the search stops at its first solution."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     r = G.rank
@@ -492,6 +490,4 @@ def _search_coset(
     _, U, Uinv, d, lam = G._reduced()
     c2 = [ci % 2 for ci in c]
     cr = [sum(Uinv[i][j] * c2[j] for j in range(r)) % 2 for i in range(r)]
-    budget = _Budget(max_nodes)
-    sols = _enumerate(d, lam, U, cr, 2, bound, budget, first)
-    return EnumerationResult(bound, *_input_pairs(sols), budget.used)
+    return _input_pairs(_enumerate(d, lam, U, cr, 2, bound, budget, first))

@@ -123,10 +123,6 @@ class LaurentPoly:
         """Augmentation: evaluate at x = 1."""
         return sum(self._terms.values())
 
-    def pi(self) -> int:
-        """Coefficient of x^0 (projection onto the identity component)."""
-        return self._terms.get(0, 0)
-
     def substitute_power(self, d: int) -> "LaurentPoly":
         """Apply x -> x^d.  d may be negative; d = 0 is rejected."""
         if d == 0:
@@ -217,11 +213,6 @@ class CyclicElement:
         coeffs[exp % n] = coeff
         return cls(n, coeffs)
 
-    @classmethod
-    def norm_element(cls, n: int) -> "CyclicElement":
-        """N = 1 + x + ... + x^(n-1).  Satisfies N * r = aug(r) * N."""
-        return cls(n, [1] * n)
-
     # -- basic protocol --------------------------------------------------
 
     @property
@@ -307,9 +298,6 @@ class CyclicElement:
 
     def aug(self) -> int:
         return sum(self._coeffs)
-
-    def pi(self) -> int:
-        return self._coeffs[0]
 
 
 def _as_cyclic(v, n: int):

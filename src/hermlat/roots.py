@@ -15,9 +15,9 @@ the unit pairs are the orthonormal certificate of `charvec.is_standard`.
 At determinant 1 and rank <= 16, L is one of the eight lattices of Conway
 & Sloane, *Sphere Packings, Lattices and Groups*, ch. 16, Table 16.7: 0,
 E8, D12+, E7^2+, A15+, E8^2, D16+ or D8^2+, and its root system
-determines it.  So `identify` names a lattice by one table lookup on that
-report, never through an isometry search or reference data computed at
-run time.
+determines it.  So `identify` names a lattice by one table lookup on the
+caller's `root_system` report, with no enumeration of its own, and never
+through an isometry search or reference data computed at run time.
 """
 
 from __future__ import annotations
@@ -149,19 +149,6 @@ class RootSystemReport:
             ]
         }
 
-    def lattice_name(self, rank: int) -> str:
-        """The name of a positive definite unimodular lattice of this rank
-        (<= 16) with this root system; see `identify`."""
-        k = len(self.units)
-        if self.core not in _CORES or sum(r for _, r, _ in self.core) != rank - k:
-            raise AssertionError(
-                f"rank {rank - k} core with root system {self.core} is not in SPLAG Table 16.7"
-            )
-        name = _CORES[self.core]
-        if not name:
-            return f"I{k}"
-        return f"{name}+I{k}" if k else name
-
 
 def _component_type(rank: int, count: int) -> Tuple[str, int, int]:
     if count == rank * (rank + 1):
@@ -288,21 +275,29 @@ def v4_root_batches() -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
 # -- identification --------------------------------------------------------------
 
 
-def identify(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> str:
-    """Name a positive definite unimodular lattice of rank <= 16.
+def identify(G: GramMatrix, report: RootSystemReport) -> str:
+    """Name a positive definite unimodular lattice of rank <= 16 from its
+    `root_system` report.
 
-    The lattice is Z^k + L (SPLAG ch. 16, Table 16.7), and `root_system`
-    gives k and the root system of L, which names L.  The result is one of
+    The lattice is Z^k + L (SPLAG ch. 16, Table 16.7), and the report gives
+    k and the root system of L, which names L.  The result is one of
     "I{k}", "E8", "Gamma12", "E7^2[11]", "A15[4]", "E8+E8", "Gamma16" or
     "D8^2[(12)]", the last seven with "+I{k}" appended when k > 0.
     Gamma12 = D12+ and Gamma16 = D16+; the bracket gives the glue of the
     overlattice.
 
-    Raises ValueError for rank > 16, determinant != 1 or a form that is not
-    positive definite.
+    Raises ValueError for rank > 16 or determinant != 1.
     """
     if G.rank > 16:
         raise ValueError("identification is supported up to rank 16")
     if G.determinant() != 1:
         raise ValueError("identification needs a unimodular lattice (determinant 1)")
-    return root_system(G, max_nodes=max_nodes).lattice_name(G.rank)
+    k = len(report.units)
+    if report.core not in _CORES or sum(r for _, r, _ in report.core) != G.rank - k:
+        raise AssertionError(
+            f"rank {G.rank - k} core with root system {report.core} is not in SPLAG Table 16.7"
+        )
+    name = _CORES[report.core]
+    if not name:
+        return f"I{k}"
+    return f"{name}+I{k}" if k else name

@@ -15,7 +15,7 @@ import hermlat.cli as cli
 import hermlat.lattice as lattice
 import hermlat.roots as roots
 from oracles import apply_basis_change, e8_gram, random_unimodular
-from hermlat.charvec import characteristic_defect, min_characteristic
+from hermlat.charvec import characteristic_defect, defect_certificate_check, min_characteristic
 from hermlat.forms import build_form_power, reduce_form, transfer
 from hermlat.lattice import GramMatrix, direct_sum, enumerate_short
 from hermlat.roots import identity_gram
@@ -354,8 +354,21 @@ def test_analyze_defect_alone_does_not_list(tmp_path, capsys, monkeypatch, vn):
         with monkeypatch.context() as m:
             m.setattr(cli, "min_characteristic", None)  # the listing is never called
             code, stdout, _ = run(capsys, "analyze", str(path), "--defect")
+            assert code == 0
+            assert json.loads(stdout)["defect"] == {"min_norm": listed.min_norm, "defect": listed.defect}
+            # standardness reads the defect route's witness
+            code, stdout, _ = run(capsys, "analyze", str(path), "--standardize")
         assert code == 0
-        assert json.loads(stdout)["defect"] == {"min_norm": listed.min_norm, "defect": listed.defect}
+        standard = json.loads(stdout)["standard"]
+        cert = standard["certificate"]
+        assert standard["is_standard"] is False and cert["norm"] == listed.min_norm
+        assert defect_certificate_check(G, cert["vector"], listed.defect)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "root_system", None)  # no bound-2 pass
+            for flag, section in (("--defect", "defect"), ("--mu", "mu")):
+                code, stdout, _ = run(capsys, "analyze", str(path), flag)
+                assert code == 0 and set(json.loads(stdout)) == {"rank", "determinant", "parity", section}
+        assert json.loads(stdout)["mu"]["mu"] == listed.mu
 
 
 def test_analyze_budget_covers_the_whole_call(tmp_path, capsys, vn):
@@ -381,6 +394,23 @@ def test_analyze_budget_covers_the_whole_call(tmp_path, capsys, vn):
     code, stdout, _ = run(capsys, "analyze", str(path), "--budget", str(coset - 1))
     report = json.loads(stdout)
     assert code == 4 and report["defect"] == report["mu"] == report["roots"] == skipped
+
+
+@pytest.mark.parametrize("name", ["v3", "v4", "v4-scrambled"])
+def test_analyze_json_matches_golden(tmp_path, capsys, vn, name):
+    G = {
+        "v3": vn(3),
+        "v4": vn(4),
+        "v4-scrambled": GramMatrix(
+            apply_basis_change(vn(4).gram, random_unimodular(random.Random(5), 16, steps=48))
+        ),
+    }[name]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(G.to_json_dict()))
+    code, stdout, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"analyze-{name}.json"
+    assert stdout.encode("utf-8") == golden.read_bytes()
 
 
 def test_analyze_determinism(tmp_path, capsys):

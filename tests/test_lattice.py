@@ -27,7 +27,8 @@ from hermlat.charvec import (
 )
 from hermlat.claims import _floor3_witness
 from hermlat.lattice import (
-    _first_in_coset,
+    _Budget,
+    _coset,
     _integral_gso,
     _lll_core,
     DEFAULT_NODE_BUDGET,
@@ -292,8 +293,10 @@ def test_node_counts(vn, n, short, min_norm, coset):
 
 def test_min_characteristic_budget_covers_every_pass(vn):
     G, c = vn(4), char_rep(vn(4))
-    # rank 16: the bound-0 pass is empty and the bound-8 pass finds the minimizers
-    total = enumerate_coset(G, c, 0).nodes + enumerate_coset(G, c, 8).nodes
+    # rank 16: the defect route (bound 0 empty, bound 8 to its first leaf),
+    # then the bound-8 listing
+    total = characteristic_defect(G).nodes + enumerate_coset(G, c, 8).nodes
+    assert total == 69 + 2086
     _assert_visits_exactly(lambda m: min_characteristic(G, max_nodes=m), total)
 
 
@@ -315,6 +318,8 @@ DEFECT_NODES = (
     ("Gamma12", 4, 1, 12),
     ("Gamma16", 0, 2, 16),
 )
+# nodes of min_characteristic: the defect route, then the listing at min_norm
+LISTING_NODES = {"V3": 99, "V4": 2155, "V5": 37814, "V6": 8934}
 
 
 @pytest.mark.parametrize("name, min_norm, defect, nodes", DEFECT_NODES)
@@ -326,6 +331,9 @@ def test_defect_route_node_counts(vn, name, min_norm, defect, nodes):
     rep = characteristic_defect(G)
     assert (rep.min_norm, rep.defect, rep.nodes) == (min_norm, defect, nodes)
     assert defect_certificate_check(G, rep.witness, rep.defect)
+    if name in LISTING_NODES:
+        listing = enumerate_coset(G, char_rep(G), min_norm).nodes
+        assert min_characteristic(G).nodes == nodes + listing == LISTING_NODES[name]
     n = int(name[1:]) if name.startswith("V") else 0
     if n >= 3:
         assert rep.defect == n // 3 and _floor3_witness(n)
@@ -338,9 +346,10 @@ def test_defect_route_budget_covers_every_pass(vn):
     for G, empty, first in ((vn(5), 4, 12), (G4, 0, 8)):
         c = char_rep(G)
         passed = enumerate_coset(G, c, empty)
-        leaf = _first_in_coset(G, c, first, DEFAULT_NODE_BUDGET)
-        assert not passed.pairs and len(leaf.pairs) == 1
-        total = passed.nodes + leaf.nodes
+        budget = _Budget(DEFAULT_NODE_BUDGET)
+        leaf, _ = _coset(G, c, first, budget, first=True)
+        assert not passed.pairs and len(leaf) == 1
+        total = passed.nodes + budget.used
         _assert_visits_exactly(lambda m: characteristic_defect(G, max_nodes=m), total)
 
 

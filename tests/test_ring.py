@@ -65,10 +65,11 @@ def test_aug():
 
 
 def test_pi():
+    # pi, the projection onto the identity component, is the coefficient of x^0
     p = LaurentPoly({0: 3, 1: 1, -1: 1, 2: 1, -2: 1})
-    assert p.pi() == 3
-    assert x.pi() == 0
-    assert p.reduce(2).pi() == 5
+    assert p.coeff(0) == 3
+    assert x.coeff(0) == 0
+    assert p.reduce(2).coeff(0) == 5
 
 
 def test_reduce_coeffs():
@@ -90,9 +91,10 @@ def test_reduce_is_ring_hom():
 
 def test_norm_element_absorbs():
     # N * r = aug(r) * N in the cyclic ring
-    N = CyclicElement.norm_element(3)
+    N = CyclicElement(3, [1] * 3)
     r = (LaurentPoly.one() + x).reduce(3)
     assert (N * r).coeffs == (2, 2, 2)
+    assert N * r == CyclicElement(3, [r.aug()] * 3)
 
 
 def test_cyclic_conj_fixed_pointwise_at_n2():

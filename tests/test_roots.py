@@ -46,7 +46,7 @@ def test_gamma8_is_even_unimodular():
 def test_gamma4_is_standard_class():
     G = gamma_gram(4)
     assert min_characteristic(G).defect == 0
-    assert identify(G) == "I4"
+    assert identify(G, root_system(G)) == "I4"
 
 
 def test_d8_det_and_roots():
@@ -219,32 +219,40 @@ def test_identify_examples(vn):
     rep = min_characteristic(V3)
     assert V3.is_odd() and V3.determinant() == 1
     assert rep.defect == 1 and rep.mu == 24
-    assert identify(V3) == "Gamma12"
-    assert identify(vn(4)) == "D8^2[(12)]"
-    assert identify(identity_gram(12)) == "I12"
-    assert identify(identity_gram(7)) == "I7"
-    assert identify(gamma_gram(12)) == "Gamma12"
-    assert identify(direct_sum(gamma_gram(8), identity_gram(4))) == "E8+I4"
-    assert identify(gamma_gram(8)) == "E8"
+    examples = (
+        (V3, "Gamma12"),
+        (vn(4), "D8^2[(12)]"),
+        (identity_gram(12), "I12"),
+        (identity_gram(7), "I7"),
+        (gamma_gram(12), "Gamma12"),
+        (direct_sum(gamma_gram(8), identity_gram(4)), "E8+I4"),
+        (gamma_gram(8), "E8"),
+    )
+    for G, name in examples:
+        assert identify(G, root_system(G)) == name
+    G = identity_gram(17)
     with pytest.raises(ValueError):
-        identify(identity_gram(17))
+        identify(G, root_system(G))
 
 
 def test_identify_rejects_non_unimodular():
+    for G in (d_gram(8), GramMatrix([[3]])):  # det 4, det 3
+        with pytest.raises(ValueError):
+            identify(G, root_system(G))
+    G = GramMatrix([[0, 1], [1, 0]])  # det -1, indefinite: no root report
     with pytest.raises(ValueError):
-        identify(d_gram(8))  # det 4
-    with pytest.raises(ValueError):
-        identify(GramMatrix([[3]]))
-    with pytest.raises(ValueError):
-        identify(GramMatrix([[0, 1], [1, 0]]))  # det -1, indefinite
+        identify(G, root_system(G))
 
 
 def test_identify_rank16_candidates():
-    assert identify(gamma_gram(16)) == "Gamma16"
-    assert identify(direct_sum(gamma_gram(8), gamma_gram(8))) == "E8+E8"
-    assert identify(direct_sum(gamma_gram(8), identity_gram(8))) == "E8+I8"
-    assert identify(direct_sum(gamma_gram(12), identity_gram(4))) == "Gamma12+I4"
-    assert identify(identity_gram(16)) == "I16"
+    for G, name in (
+        (gamma_gram(16), "Gamma16"),
+        (direct_sum(gamma_gram(8), gamma_gram(8)), "E8+E8"),
+        (direct_sum(gamma_gram(8), identity_gram(8)), "E8+I8"),
+        (direct_sum(gamma_gram(12), identity_gram(4)), "Gamma12+I4"),
+        (identity_gram(16), "I16"),
+    ):
+        assert identify(G, root_system(G)) == name
 
 
 def _glued(blocks, glue):
@@ -287,13 +295,14 @@ def test_identify_glued_cores(name):
     rep = min_characteristic(G)
     assert G.determinant() == 1 and G.is_odd()
     assert rep.defect == 1 and rep.mu == mu
-    assert identify(G) == name
+    assert identify(G, root_system(G)) == name
 
 
 def test_identify_glued_core_plus_units():
     blocks, glue, _ = GLUED["E7^2[11]"]
     G = direct_sum(_glued(blocks, glue), identity_gram(2))
     # the roots +/-e1 +/-e2 of the unit summand are not core roots
-    assert identify(G) == "E7^2[11]+I2"
+    assert identify(G, root_system(G)) == "E7^2[11]+I2"
     U = random_unimodular(random.Random(7), G.rank, steps=40)
-    assert identify(GramMatrix(apply_basis_change(G.gram, U))) == "E7^2[11]+I2"
+    H = GramMatrix(apply_basis_change(G.gram, U))
+    assert identify(H, root_system(H)) == "E7^2[11]+I2"

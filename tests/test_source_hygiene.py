@@ -102,3 +102,35 @@ def test_no_unread_private_definitions():
             elif isinstance(n, ast.ImportFrom):
                 read.update(alias.name for alias in n.names)
     assert [d for d in defined if d.split()[-1] not in read] == []
+
+
+def _reads(tree: ast.Module):
+    """The names a module reads: loaded names and attribute names."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_public_names_are_read():
+    # every public def or class, methods included, is read by the package or
+    # the benchmark, or re-exported from hermlat/__init__.py
+    package = Path(hermlat.__file__).parent
+    bench = sorted((package.parents[1] / "bench").glob("*.py"))
+    read = {name for path in MODULES + bench for name in _reads(_tree(path))}
+    read.update(
+        alias.name
+        for node in ast.walk(_tree(package / "__init__.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    unread = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert unread == []
