@@ -5,21 +5,22 @@ mod 2 for every v; they form a single coset of 2*lattice when the
 determinant is odd.  All characteristic norms agree mod 8 with the rank
 (van der Blij), the defect (rank - minimal norm)/8 is a nonnegative
 integer, and it vanishes exactly for the standard lattice.  This module
-computes those invariants by exact coset enumeration.  The one search is
-`characteristic_defect`: passes that widen by 8 until one is nonempty,
-stopped at that pass's first solution, which gives the defect with one
-minimal vector as its witness.  `min_characteristic` adds one listing pass
-at the norm found, for mu and the minimizers.  `is_standard` reads either
-report and enumerates nothing.  The module also provides the closed-form
-witness vectors for the rank-4 transfer family that certify
-nonstandardness without any enumeration.
+computes those invariants by exact coset enumeration.  The one search runs
+lazy passes that widen by 8 until one is nonempty: `characteristic_defect`
+takes that pass's first solution as the witness of the defect, and
+`min_characteristic` runs the same pass to its end for mu and the
+minimizers, so no pass runs twice.  `is_standard` reads either report and
+enumerates nothing.  The module also provides the closed-form witness
+vectors for the rank-4 transfer family that certify nonstandardness
+without any enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
@@ -27,6 +28,8 @@ from hermlat.lattice import (
     _Budget,
     _coset,
     _image,
+    _input_pairs,
+    canonical_rep,
     inner,
 )
 from hermlat.ring import LaurentPoly
@@ -92,23 +95,23 @@ class CharReport(DefectReport):
     minimizers: Tuple[Vector, ...]
 
 
-def _defect_search(G: GramMatrix, budget: _Budget) -> DefectReport:
-    """The search behind `characteristic_defect`, spending from ``budget``."""
+def _defect_search(G: GramMatrix, budget: _Budget) -> Tuple[int, Iterator[Tuple[List[int], int]]]:
+    """(min_norm, the solutions (w, norm) of the first nonempty coset pass,
+    lazily from its first), spending from ``budget``."""
     if G.determinant() != 1:
         raise ValueError("lattice is not unimodular (determinant != 1)")
     c = char_rep(G)
     bound = G.rank % 8
     while True:
-        pairs, norms = _coset(G, c, bound, budget, first=True)
-        if pairs:
+        sols = _coset(G, c, bound, budget)
+        first = next(sols, None)
+        if first is not None:
             break
         bound += 8
-    (w,), (mn,) = pairs, norms
-    if _characteristic_norm(G, w) != mn:
-        raise AssertionError("the first leaf is not characteristic of its norm")
+    mn = first[1]
     if (G.rank - mn) % 8:
         raise AssertionError("characteristic norm violates the mod-8 congruence")
-    return DefectReport(mn, (G.rank - mn) // 8, w, budget.used)
+    return mn, chain([first], sols)
 
 
 def characteristic_defect(
@@ -127,28 +130,33 @@ def characteristic_defect(
     report's ``nodes`` is what they spent.  Determinants other than 1
     raise ValueError.
     """
-    return _defect_search(G, _Budget(max_nodes))
+    budget = _Budget(max_nodes)
+    mn, sols = _defect_search(G, budget)
+    w = canonical_rep(next(sols)[0])
+    if _characteristic_norm(G, w) != mn:
+        raise AssertionError("the witness is not characteristic of the minimal norm")
+    return DefectReport(mn, (G.rank - mn) // 8, w, budget.used)
 
 
 def min_characteristic(
     G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> CharReport:
     """Exact minimal characteristic norm, defect, all minimizers and mu:
-    the `characteristic_defect` search, then one listing pass at the norm
-    it found, in its witness's coset mod 2 (the characteristic coset).
-    ``max_nodes`` bounds the nodes of all the passes together, and the
-    report's ``nodes`` is what they spent.  Determinants other than 1
-    raise ValueError.
+    the `characteristic_defect` search, with its nonempty pass, at the
+    minimal norm, run to its end, so each pass runs once.  ``max_nodes``
+    bounds the nodes of all the passes together, and the report's
+    ``nodes`` is what they spent.  Determinants other than 1 raise
+    ValueError.
     """
     budget = _Budget(max_nodes)
-    found = _defect_search(G, budget)
-    minimizers, norms = _coset(G, found.witness, found.min_norm, budget)
-    if any(nv != found.min_norm for nv in norms):
-        raise AssertionError("a characteristic vector is shorter than the defect search found")
+    mn, sols = _defect_search(G, budget)
+    minimizers, norms = _input_pairs(sols)
+    if any(nv != mn for nv in norms):
+        raise AssertionError("a listed norm differs from the minimal norm")
     mu = sum(1 if all(x == 0 for x in v) else 2 for v in minimizers)
-    return CharReport(
-        found.min_norm, found.defect, minimizers[0], budget.used, mu, minimizers
-    )
+    if _characteristic_norm(G, minimizers[0]) != mn:
+        raise AssertionError("the witness is not characteristic of the minimal norm")
+    return CharReport(mn, (G.rank - mn) // 8, minimizers[0], budget.used, mu, minimizers)
 
 
 def is_standard(

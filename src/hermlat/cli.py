@@ -175,7 +175,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     missing = {"status": "skipped(budget)" if unimodular else "not unimodular"}
     char = None
     if unimodular and want_char:
-        # the defect and standardness need no minimizer list: stop at the first one
+        # the defect and standardness need no minimizer list: take the search's
+        # first minimizer; mu lists the rest of the same pass
         search = min_characteristic if listing else characteristic_defect
         try:
             char = search(G, max_nodes=budget)

@@ -6,10 +6,10 @@ Fincke-Pohst enumerator work on the integral Gram-Schmidt data (leading minors
 d_i and lam_ij = d_{j+1} mu_ij).  No floating point and no rationals anywhere:
 the downstream standardness and defect certificates rely on exact comparisons.
 
-A `GramMatrix` makes its Bareiss sweep (determinant, leading minors,
-definiteness) and its LLL reduction on first use and keeps both as tuples;
-every enumeration of the matrix starts from that one reduction.  Neither
-spends enumeration nodes, so neither counts against a budget.
+A `GramMatrix` makes its Bareiss sweep (rank, determinant) and its LLL
+reduction on first use and keeps both as tuples; definiteness is whether the
+reduction succeeds, and every enumeration of the matrix starts from it.
+Neither spends enumeration nodes, so neither counts against a budget.
 
 Enumeration walks a bounded search tree; every visited node counts against a
 caller-supplied node budget (default 10^9) and exhausting it raises
@@ -18,9 +18,9 @@ vector of each +/- pair (the sign rule of Schnorr & Euchner, *Math.
 Programming* 66, 1994: the last nonzero coordinate in the reduced basis is
 positive), and its leaves know each solution's exact norm, so an
 ``EnumerationResult`` carries the norms and the node count along with the
-pairs and nothing downstream recomputes a norm.  Callers that chain coset
-passes (`charvec`) run them through `_coset`, which spends from the
-caller's `_Budget` and can stop at its first solution.
+pairs and nothing downstream recomputes a norm.  The tree is a generator that
+visits nodes only as its solutions are pulled; callers that chain coset passes
+(`charvec`) pull them from `_coset`, which spends from the caller's `_Budget`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import isqrt, lcm
 from operator import eq, mul
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -116,11 +116,10 @@ class GramMatrix:
         """Odd lattice: some vector has odd norm (iff some diagonal entry is odd)."""
         return any(d % 2 for d in self.diagonal())
 
-    def _swept(self) -> Tuple[Tuple[int, ...], int, int]:
-        """The `_bareiss` sweep (minors, rank, det), made on first use."""
+    def _swept(self) -> Tuple[int, int]:
+        """The `_bareiss` sweep (rank, det), made on first use."""
         if self._sweep is None:
-            minors, rank, det = _bareiss(self._gram)
-            self._sweep = (tuple(minors), rank, det)
+            self._sweep = _bareiss(self._gram)
         return self._sweep
 
     def _reduced(self):
@@ -132,10 +131,15 @@ class GramMatrix:
         return self._reduction
 
     def determinant(self) -> int:
-        return self._swept()[2]
+        return self._swept()[1]
 
     def is_positive_definite(self) -> bool:
-        return all(m > 0 for m in self._swept()[0])
+        """Whether the reduction succeeds (`_integral_gso` tests each leading minor)."""
+        try:
+            self._reduced()
+        except ValueError:
+            return False
+        return True
 
     def to_json_dict(self) -> dict:
         return {"rank": self._rank, "gram": [list(row) for row in self._gram]}
@@ -187,34 +191,25 @@ def direct_sum(G1: GramMatrix, G2: GramMatrix) -> GramMatrix:
 # -- exact elimination --------------------------------------------------------
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], int, int]:
-    """One fraction-free (Bareiss) sweep to echelon form: (minors, rank, det).
+def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
+    """One fraction-free (Bareiss) sweep to echelon form: (rank, det).
 
     Each step takes the first row at or below the current one with a nonzero
     entry in the column, swaps it up if needed, and eliminates below it;
     after a step every entry below the pivot rows is a minor of the input, so
-    dividing by the previous pivot is exact.  Until the first swap or empty
-    column the pivot of step k is the leading (k+1)-minor, so ``minors``
-    lists the leading minors up to and including the first zero one (all of
-    them when none is zero).  ``det`` is the determinant of a square input
-    (0 when the rank is short).
+    dividing by the previous pivot is exact.  ``det`` is the determinant of a
+    square input (0 when the rank is short).
     """
     m = [list(row) for row in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
-    minors: List[int] = []
-    leading = True
     rank = 0
     sign = 1
     prev = 1
     for col in range(ncols):
-        if leading:
-            minors.append(m[rank][col])
         sel = next((i for i in range(rank, nrows) if m[i][col]), None)
         if sel is None:
-            leading = False
             continue
         if sel != rank:
-            leading = False
             m[rank], m[sel] = m[sel], m[rank]
             sign = -sign
         top = m[rank]
@@ -227,7 +222,7 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], int, int]:
         if rank == nrows:
             break
     det = sign * prev if rank == nrows == ncols else 0
-    return minors, rank, det
+    return rank, det
 
 
 # -- LLL ----------------------------------------------------------------------
@@ -374,17 +369,11 @@ class _Budget:
             raise BudgetExceeded(self.used, self.limit)
 
 
-class _FirstLeaf(Exception):
-    """Ends a search that stops at its first solution."""
-
-
-def _enumerate(
-    d, lam, U, parity: Sequence[int], step: int, bound: int, budget: _Budget, first: bool = False
-):
-    """(U w, w^T G w) for one w of each +/- pair of integer vectors with
-    w_j = parity_j (mod step) and w^T G w <= bound, where G is the reduced
-    Gram matrix and U maps its basis to the input basis.  With ``first``
-    the search ends at its first solution and returns that one alone.
+def _enumerate(d, lam, U, parity: Sequence[int], step: int, bound: int, budget: _Budget):
+    """Yields (U w, w^T G w), in tree order, for one w of each +/- pair of
+    integer vectors with w_j = parity_j (mod step) and w^T G w <= bound, where
+    G is the reduced Gram matrix and U maps its basis to the input basis.  The
+    tree advances only as solutions are pulled.
 
     Fincke-Pohst over the integral Gram-Schmidt data (d, lam) of G.  With
     x_j = d[j+1] w_j + sum_{i>j} lam_ij w_i the form is
@@ -397,8 +386,7 @@ def _enumerate(
     along the path, one column of U per nonzero level, and at a leaf the
     scaled slack left is M (bound - norm), which gives the norm exactly: a
     solution costs O(r) beyond its node.  Every level visited counts one
-    node against the budget; stopping costs one test per solution, none
-    per node.
+    node against the budget.
     """
     r = len(lam)
     M = lcm(*(d[j] * d[j + 1] for j in range(r)))
@@ -406,10 +394,9 @@ def _enumerate(
     # column j of lam, zero on rows <= j, where w is still 0 at level j
     cols = [[lam[i][j] if i > j else 0 for i in range(r)] for j in range(r)]
     ucols = list(zip(*U))
-    sols: List[Tuple[List[int], int]] = []
     w = [0] * r
 
-    def rec(j: int, remaining: int, top: bool, v: List[int]) -> None:
+    def rec(j: int, remaining: int, top: bool, v: List[int]) -> Iterator[Tuple[List[int], int]]:
         # v = U w, with w_j .. w_0 still 0
         budget.spend()
         dj, wj, uj = d[j + 1], W[j], ucols[j]
@@ -425,18 +412,12 @@ def _enumerate(
             x = dj * cand + e
             u = [a + cand * b for a, b in zip(v, uj)] if cand else v
             if j == 0:
-                sols.append((u, bound - (remaining - wj * x * x) // M))
-                if first:
-                    raise _FirstLeaf
+                yield u, bound - (remaining - wj * x * x) // M
             else:
-                rec(j - 1, remaining - wj * x * x, top and not cand, u)
+                yield from rec(j - 1, remaining - wj * x * x, top and not cand, u)
         w[j] = 0
 
-    try:
-        rec(r - 1, M * bound, True, [0] * r)
-    except _FirstLeaf:
-        pass
-    return sols
+    yield from rec(r - 1, M * bound, True, [0] * r)
 
 
 def _input_pairs(sols) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
@@ -456,7 +437,7 @@ def enumerate_short(
     _, U, _, d, lam = G._reduced()
     budget = _Budget(max_nodes)
     sols = _enumerate(d, lam, U, [0] * G.rank, 1, bound, budget)
-    nonzero = [(v, nv) for v, nv in sols if nv]
+    nonzero = ((v, nv) for v, nv in sols if nv)
     return EnumerationResult(bound, *_input_pairs(nonzero), budget.used)
 
 
@@ -473,15 +454,15 @@ def enumerate_coset(
     and steps each coordinate through its residue class directly.
     """
     budget = _Budget(max_nodes)
-    return EnumerationResult(bound, *_coset(G, c, bound, budget), budget.used)
+    return EnumerationResult(bound, *_input_pairs(_coset(G, c, bound, budget)), budget.used)
 
 
 def _coset(
-    G: GramMatrix, c: Sequence[int], bound: int, budget: _Budget, first: bool = False
-) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
-    """The pairs and norms of `enumerate_coset`, spending from ``budget``,
-    so that passes sharing one budget raise `BudgetExceeded` with their
-    total.  With ``first`` the search stops at its first solution."""
+    G: GramMatrix, c: Sequence[int], bound: int, budget: _Budget
+) -> Iterator[Tuple[List[int], int]]:
+    """The solutions (U w, norm) of `enumerate_coset`, lazily in tree order,
+    spending from ``budget``: passes sharing one budget raise `BudgetExceeded`
+    with their total.  The bound and the shift are checked at the call."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     r = G.rank
@@ -490,4 +471,4 @@ def _coset(
     _, U, Uinv, d, lam = G._reduced()
     c2 = [ci % 2 for ci in c]
     cr = [sum(Uinv[i][j] * c2[j] for j in range(r)) % 2 for i in range(r)]
-    return _input_pairs(_enumerate(d, lam, U, cr, 2, bound, budget, first))
+    return _enumerate(d, lam, U, cr, 2, bound, budget)

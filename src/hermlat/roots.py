@@ -199,14 +199,14 @@ def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSyst
     images = [_image(G, v) for v in roots]
     components, core = [], []
     for comp in _root_graph(roots, images):
-        typed = _component_type(_bareiss([roots[i] for i in comp])[1], 2 * len(comp))
+        typed = _component_type(_bareiss([roots[i] for i in comp])[0], 2 * len(comp))
         components.append(typed)
         if not any(sum(map(mul, images[i], u)) for i in comp for u in units):
             core.append(typed)
     return RootSystemReport(
         components=tuple(sorted(components)),
         total_roots=2 * len(roots),
-        spanning_rank=_bareiss(roots)[1],
+        spanning_rank=_bareiss(roots)[0],
         units=tuple(units),
         core=tuple(sorted(core)),
     )

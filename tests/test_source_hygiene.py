@@ -1,5 +1,5 @@
 """Static checks over the package sources: unused imports, parameters and
-private definitions, and rationals."""
+private definitions, bool mode flags, and rationals."""
 
 import ast
 from pathlib import Path
@@ -80,6 +80,27 @@ def test_no_unused_parameters():
                 if p not in read and p not in ("self", "cls")
             ]
     assert unused == []
+
+
+def test_no_mode_flags():
+    # a parameter defaulting to True or False switches a function between
+    # two jobs; split the function, or let the caller stop a lazy one
+    flagged = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            defaults += list(zip(args.kwonlyargs, args.kw_defaults))
+            name = getattr(node, "name", "<lambda>")
+            flagged += [
+                f"{path.name}:{node.lineno} {name}({a.arg})"
+                for a, default in defaults
+                if isinstance(default, ast.Constant) and isinstance(default.value, bool)
+            ]
+    assert flagged == []
 
 
 def test_no_unread_private_definitions():
