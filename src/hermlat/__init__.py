@@ -42,7 +42,6 @@ from hermlat.lattice import (
     enumerate_coset,
     enumerate_short,
     inner,
-    lll_reduce,
     norm,
 )
 from hermlat.ring import (

@@ -29,6 +29,7 @@ from hermlat.lattice import (
     _coset,
     _image,
     _input_pairs,
+    _solve_mod2,
     canonical_rep,
     inner,
 )
@@ -40,22 +41,10 @@ Vector = Tuple[int, ...]
 def char_rep(G: GramMatrix) -> Vector:
     """A characteristic vector with 0/1 coordinates: the unique mod-2
     solution of G w = diag(G).  Even lattices get the zero vector."""
-    r = G.rank
-    rows = [[G.entry(i, j) & 1 for j in range(r)] + [G.entry(i, i) & 1] for i in range(r)]
-    # Gauss-Jordan over GF(2); the system is uniquely solvable iff det is odd
-    pivot_of_col = [-1] * r
-    row_at = 0
-    for col in range(r):
-        sel = next((i for i in range(row_at, r) if rows[i][col]), None)
-        if sel is None:
-            raise ValueError("determinant is even; lattice is not unimodular")
-        rows[row_at], rows[sel] = rows[sel], rows[row_at]
-        for i in range(r):
-            if i != row_at and rows[i][col]:
-                rows[i] = [a ^ b for a, b in zip(rows[i], rows[row_at])]
-        pivot_of_col[col] = row_at
-        row_at += 1
-    return tuple(rows[pivot_of_col[col]][r] for col in range(r))
+    try:
+        return _solve_mod2(G.gram, G.diagonal())
+    except ValueError:
+        raise ValueError("determinant is even; lattice is not unimodular") from None
 
 
 def _characteristic_norm(G: GramMatrix, w: Sequence[int]) -> Optional[int]:

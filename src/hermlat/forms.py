@@ -54,9 +54,6 @@ class HermitianForm:
     def size(self) -> int:
         return self._size
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self._entries[i][j]
-
     def rows(self) -> Tuple[Tuple[LaurentPoly, ...], ...]:
         return self._entries
 
@@ -122,9 +119,6 @@ class CyclicForm:
     @property
     def n(self) -> int:
         return self._n
-
-    def entry(self, i: int, j: int) -> CyclicElement:
-        return self._entries[i][j]
 
     def rows(self) -> Tuple[Tuple[CyclicElement, ...], ...]:
         return self._entries

@@ -9,7 +9,11 @@ the downstream standardness and defect certificates rely on exact comparisons.
 A `GramMatrix` makes its Bareiss sweep (rank, determinant) and its LLL
 reduction on first use and keeps both as tuples; definiteness is whether the
 reduction succeeds, and every enumeration of the matrix starts from it.
-Neither spends enumeration nodes, so neither counts against a budget.
+The reduction keeps only the transform U and the integral Gram-Schmidt data
+(d, lam) of the reduced basis; `lll_reduce` forms the reduced Gram on
+request, and a coset's residue in the reduced basis is one GF(2) solve
+against U.  Neither spends enumeration nodes, so neither counts against a
+budget.
 
 Enumeration walks a bounded search tree; every visited node counts against a
 caller-supplied node budget (default 10^9) and exhausting it raises
@@ -95,9 +99,6 @@ class GramMatrix:
     def gram(self) -> Tuple[Tuple[int, ...], ...]:
         return self._gram
 
-    def entry(self, i: int, j: int) -> int:
-        return self._gram[i][j]
-
     def diagonal(self) -> Tuple[int, ...]:
         return tuple(self._gram[i][i] for i in range(self._rank))
 
@@ -123,11 +124,10 @@ class GramMatrix:
         return self._sweep
 
     def _reduced(self):
-        """The `_lll_core` reduction (g, U, Uinv, d, lam), made on first use.
+        """The `_lll_core` reduction (U, d, lam), made on first use.
         Raises ValueError when the matrix is not positive definite."""
         if self._reduction is None:
-            g, U, Uinv, d, lam = _lll_core(self._gram)
-            self._reduction = (_rows(g), _rows(U), _rows(Uinv), tuple(d), _rows(lam))
+            self._reduction = _lll_core(self._gram)
         return self._reduction
 
     def determinant(self) -> int:
@@ -225,6 +225,25 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
     return rank, det
 
 
+def _solve_mod2(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Vector:
+    """The 0/1 vector x with rows x = rhs (mod 2), by Gauss-Jordan elimination
+    over GF(2) on the square integer matrix ``rows``.  Each augmented row is
+    one int, bit j for column j and bit r for rhs, so a row operation is one
+    XOR.  Raises ValueError when the determinant is even."""
+    r = len(rows)
+    aug = [sum((a & 1) << j for j, a in enumerate((*row, b))) for row, b in zip(rows, rhs)]
+    for col in range(r):
+        sel = next((i for i in range(col, r) if aug[i] >> col & 1), None)
+        if sel is None:
+            raise ValueError("matrix is singular mod 2")
+        aug[col], aug[sel] = aug[sel], aug[col]
+        top = aug[col]
+        for i in range(r):
+            if i != col and aug[i] >> col & 1:
+                aug[i] ^= top
+    return tuple(row >> r & 1 for row in aug)
+
+
 # -- LLL ----------------------------------------------------------------------
 
 
@@ -261,44 +280,32 @@ def _integral_gso(gram) -> Tuple[List[int], List[List[int]]]:
 
 
 def _lll_core(gram_in):
-    """Gram-only LLL with the Lovasz constant 3/4.  Returns (gram', U, Uinv,
-    d, lam) with U^T G U = G', Uinv = U^{-1} and (d, lam) the integral
-    Gram-Schmidt data of G', all integers.
+    """Gram-only LLL with the Lovasz constant 3/4.  Returns (U, d, lam) as
+    tuples: U, whose columns are the reduced basis in input coordinates, so
+    U^T G U is the reduced Gram, and (d, lam), the integral Gram-Schmidt data
+    of that basis, all integers.
 
-    The integral Gram-Schmidt data are updated in place on each size
-    reduction and swap (Cohen, Alg. 2.6.7).  Row k is reduced against every
+    Size reduction and the Lovasz test read only (d, lam), which are updated
+    in place on each size reduction and swap (Cohen, Alg. 2.6.7), so the
+    reduced Gram itself is never formed.  Row k is reduced against every
     earlier row, rounding mu = lam / d to floor(mu + 1/2), before the Lovasz
     test B_k >= (3/4 - mu_{k,k-1}^2) B_{k-1}, which in integers reads
     4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam_{k,k-1}^2.
     """
     r = len(gram_in)
-    g = [list(row) for row in gram_in]
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    Uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    d, lam = _integral_gso(g)
+    basis = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    d, lam = _integral_gso(gram_in)
 
     def row_op(k: int, j: int, q: int) -> None:
         # b_k <- b_k - q b_j
-        for i in range(r):
-            g[k][i] -= q * g[j][i]
-        for i in range(r):
-            g[i][k] -= q * g[i][j]
-        for t in range(r):
-            U[t][k] -= q * U[t][j]
-        for t in range(r):
-            Uinv[j][t] += q * Uinv[k][t]
+        basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
         lk, lj = lam[k], lam[j]
         for i in range(j):
             lk[i] -= q * lj[i]
         lk[j] -= q * d[j + 1]
 
     def swap(k: int) -> None:
-        g[k], g[k - 1] = g[k - 1], g[k]
-        for row in g:
-            row[k], row[k - 1] = row[k - 1], row[k]
-        for t in range(r):
-            U[t][k], U[t][k - 1] = U[t][k - 1], U[t][k]
-        Uinv[k], Uinv[k - 1] = Uinv[k - 1], Uinv[k]
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
         lk, lk1 = lam[k], lam[k - 1]
         lk[: k - 1], lk1[: k - 1] = lk1[: k - 1], lk[: k - 1]
         l = lk[k - 1]
@@ -322,13 +329,16 @@ def _lll_core(gram_in):
         else:
             swap(k)
             k = max(k - 1, 1)
-    return g, U, Uinv, d, lam
+    return _rows(zip(*basis)), tuple(d), _rows(lam)
 
 
 def lll_reduce(G: GramMatrix):
-    """LLL-reduce, returning (G', U) with U^T G U = G' and |det U| = 1."""
-    g, U = G._reduced()[:2]
-    return GramMatrix(g), U
+    """LLL-reduce, returning (G', U) with U^T G U = G' and |det U| = 1.
+    G' is formed here, one product G u per reduced basis vector u."""
+    U = G._reduced()[0]
+    basis = list(zip(*U))
+    images = [_image(G, u) for u in basis]
+    return GramMatrix([[sum(map(mul, u, gv)) for gv in images] for u in basis]), U
 
 
 # -- enumeration --------------------------------------------------------------
@@ -434,7 +444,7 @@ def enumerate_short(
     """All +/- pairs with 0 < norm <= bound (Fincke-Pohst after LLL)."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    _, U, _, d, lam = G._reduced()
+    U, d, lam = G._reduced()
     budget = _Budget(max_nodes)
     sols = _enumerate(d, lam, U, [0] * G.rank, 1, bound, budget)
     nonzero = ((v, nv) for v, nv in sols if nv)
@@ -450,8 +460,9 @@ def enumerate_coset(
     """All +/- pairs w with w = c (mod 2) coordinate-wise and |w|^2 <= bound.
 
     The zero vector is listed (once) exactly when c = 0 mod 2.  The
-    enumeration runs in the LLL basis, where the coset is w = U^-1 c (mod 2),
-    and steps each coordinate through its residue class directly.
+    enumeration runs in the LLL basis, where the coset is the solution x of
+    U x = c (mod 2), and steps each coordinate through its residue class
+    directly.
     """
     budget = _Budget(max_nodes)
     return EnumerationResult(bound, *_input_pairs(_coset(G, c, bound, budget)), budget.used)
@@ -465,10 +476,7 @@ def _coset(
     with their total.  The bound and the shift are checked at the call."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    r = G.rank
-    if len(c) != r:
+    if len(c) != G.rank:
         raise ValueError("shift length must match rank")
-    _, U, Uinv, d, lam = G._reduced()
-    c2 = [ci % 2 for ci in c]
-    cr = [sum(Uinv[i][j] * c2[j] for j in range(r)) % 2 for i in range(r)]
-    return _enumerate(d, lam, U, cr, 2, bound, budget)
+    U, d, lam = G._reduced()
+    return _enumerate(d, lam, U, _solve_mod2(U, c), 2, bound, budget)

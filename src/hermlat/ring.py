@@ -5,6 +5,7 @@ this package: ``LaurentPoly`` models Z[x, 1/x] with the involution x -> 1/x,
 and ``CyclicElement`` models the quotient Z[x, 1/x] / (x^n - 1), i.e. the
 group ring of a cyclic group of order n.  Both are immutable and exact, and
 their coefficients are Python integers: the constructors reject anything else.
+Arithmetic takes two elements of the same type; an int operand is a TypeError.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ class LaurentPoly:
         return not self._terms
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._terms == other._terms
@@ -75,31 +74,23 @@ class LaurentPoly:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
-        other = _as_laurent(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
-        other = _as_laurent(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "LaurentPoly":
-        return _as_laurent(other) - self
-
     def __mul__(self, other) -> "LaurentPoly":
-        other = _as_laurent(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: Dict[int, int] = {}
         for e1, c1 in self._terms.items():
@@ -107,8 +98,6 @@ class LaurentPoly:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
-
-    __rmul__ = __mul__
 
     # -- the structure maps ----------------------------------------------
 
@@ -160,14 +149,6 @@ class LaurentPoly:
                 raise ValueError(f"bad coefficient {v!r}")
             out[e] = out.get(e, 0) + v
         return cls(out)
-
-
-def _as_laurent(v) -> "LaurentPoly":
-    if isinstance(v, LaurentPoly):
-        return v
-    if isinstance(v, int):
-        return LaurentPoly.const(v)
-    return NotImplemented
 
 
 def sym_power(k: int) -> LaurentPoly:
@@ -231,8 +212,7 @@ class CyclicElement:
             raise ValueError("mixed moduli")
 
     def __eq__(self, other) -> bool:
-        other = _as_cyclic(other, self._n)
-        if other is NotImplemented:
+        if not isinstance(other, CyclicElement):
             return NotImplemented
         return self._n == other._n and self._coeffs == other._coeffs
 
@@ -245,29 +225,21 @@ class CyclicElement:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other) -> "CyclicElement":
-        other = _as_cyclic(other, self._n)
-        if other is NotImplemented:
+        if not isinstance(other, CyclicElement):
             return NotImplemented
         self._check(other)
         return CyclicElement(self._n, [a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    __radd__ = __add__
 
     def __neg__(self) -> "CyclicElement":
         return CyclicElement(self._n, [-c for c in self._coeffs])
 
     def __sub__(self, other) -> "CyclicElement":
-        other = _as_cyclic(other, self._n)
-        if other is NotImplemented:
+        if not isinstance(other, CyclicElement):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "CyclicElement":
-        return _as_cyclic(other, self._n) - self
-
     def __mul__(self, other) -> "CyclicElement":
-        other = _as_cyclic(other, self._n)
-        if other is NotImplemented:
+        if not isinstance(other, CyclicElement):
             return NotImplemented
         self._check(other)
         n = self._n
@@ -284,8 +256,6 @@ class CyclicElement:
                 out[k] += a * b
         return CyclicElement(n, out)
 
-    __rmul__ = __mul__
-
     # -- structure maps ---------------------------------------------------
 
     def conj(self) -> "CyclicElement":
@@ -293,21 +263,8 @@ class CyclicElement:
         n = self._n
         return CyclicElement(n, [self._coeffs[(-j) % n] for j in range(n)])
 
-    def is_self_conjugate(self) -> bool:
-        return self == self.conj()
-
     def aug(self) -> int:
         return sum(self._coeffs)
-
-
-def _as_cyclic(v, n: int):
-    if isinstance(v, CyclicElement):
-        return v
-    if isinstance(v, int):
-        coeffs = [0] * n
-        coeffs[0] = v
-        return CyclicElement(n, coeffs)
-    return NotImplemented
 
 
 # -- text syntax -----------------------------------------------------------

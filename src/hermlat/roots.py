@@ -192,7 +192,9 @@ def _root_graph(pairs: Sequence[Vector], images: Sequence[Vector]) -> List[List[
 def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSystemReport:
     """Components of the root graph, each typed by its span rank and root
     count, with the norm-1 pairs and the core, all from one bound-2
-    enumeration, whose norms split the units from the roots."""
+    enumeration, whose norms split the units from the roots.  In a definite
+    lattice the components span mutually orthogonal sublattices, so the
+    span of all roots has the sum of their ranks."""
     found = enumerate_short(G, 2, max_nodes=max_nodes)
     units = [v for v, nv in zip(found.pairs, found.norms) if nv == 1]
     roots = [v for v, nv in zip(found.pairs, found.norms) if nv == 2]
@@ -206,7 +208,7 @@ def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSyst
     return RootSystemReport(
         components=tuple(sorted(components)),
         total_roots=2 * len(roots),
-        spanning_rank=_bareiss(roots)[0],
+        spanning_rank=sum(rank for _, rank, _ in components),
         units=tuple(units),
         core=tuple(sorted(core)),
     )

@@ -412,7 +412,8 @@ def sesq_eval(G, u: Sequence, v: Sequence):
     m = G.size
     if len(u) != m or len(v) != m:
         raise ValueError("vector length must match the form size")
-    terms = (u[i] * G.entry(i, j) * v[j].conj() for i in range(m) for j in range(m))
+    rows = G.rows()
+    terms = (u[i] * rows[i][j] * v[j].conj() for i in range(m) for j in range(m))
     return sum(terms, u[0] - u[0])
 
 

@@ -49,7 +49,8 @@ def test_char_rep_examples(vn):
 
 
 def test_char_rep_even_determinant_rejected():
-    with pytest.raises(ValueError):
+    # the shared GF(2) solve raises; char_rep names the lattice condition
+    with pytest.raises(ValueError, match="determinant is even; lattice is not unimodular"):
         char_rep(GramMatrix([[2, 0], [0, 2]]))
 
 

@@ -36,7 +36,7 @@ L1_MATRIX = ((7, 6, 3, 2), (6, 7, 2, 3), (3, 2, 2, 0), (2, 3, 0, 2))
 
 
 def test_entry_11_of_family():
-    assert L.entry(0, 0) == LaurentPoly({0: 3, 1: 1, -1: 1, 2: 1, -2: 1})
+    assert L.rows()[0][0] == LaurentPoly({0: 3, 1: 1, -1: 1, 2: 1, -2: 1})
 
 
 def test_family_at_zero():
@@ -49,7 +49,7 @@ def test_family_at_zero():
     ]
     for i in range(4):
         for j in range(4):
-            assert F.entry(i, j) == LaurentPoly.const(rows[i][j])
+            assert F.rows()[i][j] == LaurentPoly.const(rows[i][j])
 
 
 def test_family_rejects_non_self_conjugate():
@@ -81,16 +81,16 @@ def test_power_exceeds_matches_the_printed_exponent():
 
 
 def test_power_family():
-    assert build_form_power(1).entry(0, 0) == L.entry(0, 0)
-    assert build_form_power(2).entry(0, 0) == build_form(sym_power(5)).entry(0, 0)
-    assert build_form_power(3).entry(3, 3) == LaurentPoly.const(2)
+    assert build_form_power(1).rows()[0][0] == L.rows()[0][0]
+    assert build_form_power(2).rows()[0][0] == build_form(sym_power(5)).rows()[0][0]
+    assert build_form_power(3).rows()[3][3] == LaurentPoly.const(2)
 
 
 def test_substitute_power_on_form():
-    assert substitute_power(L, 1).entry(0, 0) == L.entry(0, 0)
+    assert substitute_power(L, 1).rows()[0][0] == L.rows()[0][0]
     F5 = substitute_power(L, 5)
-    assert F5.entry(0, 0) == LaurentPoly({0: 3, 5: 1, -5: 1, 10: 1, -10: 1})
-    assert F5.entry(0, 0) == build_form_power(2).entry(0, 0)
+    assert F5.rows()[0][0] == LaurentPoly({0: 3, 5: 1, -5: 1, 10: 1, -10: 1})
+    assert F5.rows()[0][0] == build_form_power(2).rows()[0][0]
 
 
 def test_det_is_one():
@@ -115,8 +115,8 @@ def test_aug_form():
 def test_reduce_form():
     R1 = reduce_form(L, 1)
     assert R1.is_constant()
-    assert tuple(tuple(R1.entry(i, j).coeff(0) for j in range(4)) for i in range(4)) == L1_MATRIX
-    assert reduce_form(L, 2).entry(0, 0).coeffs == (5, 2)
+    assert tuple(tuple(R1.rows()[i][j].coeff(0) for j in range(4)) for i in range(4)) == L1_MATRIX
+    assert reduce_form(L, 2).rows()[0][0].coeffs == (5, 2)
     for k in (1, 2, 3):
         assert reduce_form(build_form_power(k), b_sequence(k)).is_constant()
     assert not reduce_form(build_form_power(2), 3).is_constant()
@@ -126,10 +126,10 @@ def test_sesq_eval_convention():
     # linear in the first slot, conjugate-linear in the second
     e1 = [LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.zero(), LaurentPoly.zero()]
     xe1 = [LaurentPoly.monomial(1), LaurentPoly.zero(), LaurentPoly.zero(), LaurentPoly.zero()]
-    assert sesq_eval(L, e1, e1) == L.entry(0, 0)
-    assert sesq_eval(L, xe1, xe1) == L.entry(0, 0)
-    assert sesq_eval(L, xe1, e1) == LaurentPoly.monomial(1) * L.entry(0, 0)
-    assert sesq_eval(L, e1, xe1) == LaurentPoly.monomial(-1) * L.entry(0, 0)
+    assert sesq_eval(L, e1, e1) == L.rows()[0][0]
+    assert sesq_eval(L, xe1, xe1) == L.rows()[0][0]
+    assert sesq_eval(L, xe1, e1) == LaurentPoly.monomial(1) * L.rows()[0][0]
+    assert sesq_eval(L, e1, xe1) == LaurentPoly.monomial(-1) * L.rows()[0][0]
 
 
 def test_sesq_eval_norm_element_absorption():
@@ -158,7 +158,7 @@ def test_transfer_matches_sesq_pi():
                     u[i] = CyclicElement.monomial(n, j)
                     v = module_basis_vector(4, i2, n)
                     v[i2] = CyclicElement.monomial(n, j2)
-                    assert G.entry(i * n + j, i2 * n + j2) == sesq_eval(Ln, u, v).coeff(0)
+                    assert G.gram[i * n + j][i2 * n + j2] == sesq_eval(Ln, u, v).coeff(0)
 
 
 def test_transfer_small_n():
@@ -177,8 +177,8 @@ def test_transfer_at_constant_form_is_block_identity():
         for i2 in range(4):
             for j in range(n):
                 for j2 in range(n):
-                    want = Rn.entry(i, i2).coeff(0) if j == j2 else 0
-                    assert G.entry(i * n + j, i2 * n + j2) == want
+                    want = Rn.rows()[i][i2].coeff(0) if j == j2 else 0
+                    assert G.gram[i * n + j][i2 * n + j2] == want
 
 
 def test_flatten_vector():
@@ -283,7 +283,7 @@ def test_transfer_matches_sesq_pi_on_random_forms(Gn):
     assert G.rank == m * n
     for a, u in enumerate(basis):
         for b, v in enumerate(basis):
-            assert G.entry(a, b) == sesq_eval(Gn, u, v).coeff(0)
+            assert G.gram[a][b] == sesq_eval(Gn, u, v).coeff(0)
 
 
 def test_transfer_determinant_examples():

@@ -1,6 +1,7 @@
 """Integer lattices: validation, reduction, exact enumeration."""
 
 import random
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,8 @@ from hermlat.lattice import (
     _coset,
     _integral_gso,
     _lll_core,
+    _rows,
+    _solve_mod2,
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     GramMatrix,
@@ -189,7 +192,7 @@ def test_lll_contract(vn):
         col_i = [U[k][i] for k in range(r)]
         for j in range(r):
             col_j = [U[k][j] for k in range(r)]
-            assert inner(G, col_i, col_j) == G2.entry(i, j)
+            assert inner(G, col_i, col_j) == G2.gram[i][j]
     assert abs(frac_det(U)) == 1
     assert G2.determinant() == G.determinant()
 
@@ -381,11 +384,14 @@ def _assert_visits_exactly(call, count):
 
 def _assert_matches_oracle(G):
     """LLL output, pairs and node counts agree with the Fraction oracle for
-    the norm-2 short vectors and for min_characteristic's first coset, and
-    the Gram-Schmidt data kept by the reduction are those of its output."""
-    assert _lll_core(G.gram)[:3] == frac_lll(G.gram)
-    g, _, _, d, lam = G._reduced()
-    assert (list(d), [list(row) for row in lam]) == _integral_gso(g)
+    the norm-2 short vectors and for min_characteristic's first coset, the
+    Gram-Schmidt data kept by the reduction are those of its output, and the
+    coset residue solved mod 2 is the oracle's U^-1 c."""
+    G2, U = lll_reduce(G)
+    g, Uf, Uinv = frac_lll(G.gram)
+    assert (G2.gram, U) == (_rows(g), _rows(Uf))
+    d, lam = _integral_gso(G2.gram)
+    assert G._reduced() == (U, tuple(d), _rows(lam))
 
     pairs, nodes = frac_enumerate_short(G.gram, 2)
     res = enumerate_short(G, 2)
@@ -393,6 +399,7 @@ def _assert_matches_oracle(G):
     _assert_visits_exactly(lambda m: enumerate_short(G, 2, max_nodes=m), nodes)
 
     c, bound = char_rep(G), G.rank % 8 or 8
+    assert _solve_mod2(U, c) == tuple(sum(map(mul, row, c)) % 2 for row in Uinv)
     pairs, nodes = frac_enumerate_coset(G.gram, c, bound)
     res = enumerate_coset(G, c, bound)
     assert (set(res.pairs), res.nodes) == (pairs, nodes)
@@ -410,6 +417,24 @@ def test_integral_core_matches_oracle_on_scrambled_bases(vn, name, rng):
     G = _oracle_lattice(name, vn)
     U = random_unimodular(rng, G.rank, steps=3 * G.rank)
     _assert_matches_oracle(GramMatrix(apply_basis_change(G.gram, U)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.randoms(use_true_random=False), st.data())
+def test_solve_mod2_solves_unimodular_systems(r, rng, data):
+    U = random_unimodular(rng, r, steps=3 * r)
+    c = data.draw(st.lists(st.integers(-9, 9), min_size=r, max_size=r))
+    x = _solve_mod2(U, c)
+    assert set(x) <= {0, 1} and len(x) == r
+    assert all((sum(map(mul, row, x)) - ci) % 2 == 0 for row, ci in zip(U, c))
+
+
+@pytest.mark.parametrize(
+    "rows", [[[0]], [[2, 1], [0, 1]], [[1, 1], [1, 1]], [[1, 0, 1], [0, 1, 1], [1, 1, 0]]]
+)
+def test_solve_mod2_rejects_singular_mod_2(rows):
+    with pytest.raises(ValueError):
+        _solve_mod2(rows, [1] * len(rows))
 
 
 @pytest.mark.parametrize(

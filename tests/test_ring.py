@@ -44,6 +44,17 @@ def test_coefficients_must_be_integers():
             CyclicElement(2, [bad, 0])
 
 
+def test_ints_do_not_mix_with_ring_elements():
+    for mixed in (
+        lambda: x + 1,
+        lambda: 1 * x,
+        lambda: 1 - x,
+        lambda: CyclicElement(3, [1, 0, 0]) + 1,
+    ):
+        with pytest.raises(TypeError):
+            mixed()
+
+
 def test_conj():
     assert x.conj() == xinv
     sym = LaurentPoly({2: 1, -2: 1})

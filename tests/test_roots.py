@@ -154,6 +154,7 @@ def test_root_system_of_scrambled_sums(parts, rng):
     assert len(got.units) == len(want.units)
     assert got.core == want.core
     assert got.spanning_rank == want.spanning_rank
+    assert got.spanning_rank == frac_rank(_root_pairs(G))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
