@@ -17,10 +17,9 @@ without any enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
@@ -63,8 +62,7 @@ def is_characteristic(G: GramMatrix, w: Sequence[int]) -> bool:
     return _characteristic_norm(G, w) is not None
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """Minimal characteristic norm and defect of a definite unimodular
     lattice, one characteristic vector of that norm, and the enumeration
     nodes that finding it took."""
@@ -75,11 +73,15 @@ class DefectReport:
     nodes: int
 
 
-@dataclass(frozen=True)
-class CharReport(DefectReport):
-    """A `DefectReport` with every minimal characteristic vector: mu counts
-    them, and the witness is the first of the sorted ``minimizers``."""
+class CharReport(NamedTuple):
+    """The `DefectReport` fields with every minimal characteristic vector:
+    mu counts them, and the witness is the first of the sorted
+    ``minimizers``."""
 
+    min_norm: int
+    defect: int
+    witness: Vector
+    nodes: int
     mu: int
     minimizers: Tuple[Vector, ...]
 
@@ -149,11 +151,12 @@ def min_characteristic(
 
 
 def is_standard(
-    G: GramMatrix, report: DefectReport, units: Sequence[Vector]
+    G: GramMatrix, report: DefectReport | CharReport, units: Sequence[Vector]
 ) -> Tuple[bool, dict]:
     """Decide standardness with an exact certificate either way, from G's
-    `characteristic_defect` or `min_characteristic` report and its norm-1
-    pairs (`root_system(G).units`).
+    `characteristic_defect` or `min_characteristic` report (only its
+    defect, witness and min_norm are read) and its norm-1 pairs
+    (`root_system(G).units`).
 
     The defect decides: it is 0 exactly for Z^r (Elkies 1995).  True comes
     with an orthonormal basis (columns of a unimodular U with U^T G U = I,

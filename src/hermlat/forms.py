@@ -16,12 +16,14 @@ lexicographically with i outermost and j = 0..n-1 innermost.
 Determinants over the form's own ring (``form_det`` and the first step of
 ``transfer_determinant``) use Berkowitz's algorithm, which never divides and
 so works over Z[C_n] despite its zero divisors.
-``transfer_determinant`` then takes the norm of that determinant, which equals
-det transfer(G) without eliminating the rank m*n Gram.
+``transfer_determinant`` then takes the norm of that determinant, the
+resultant Res(x^n - 1, delta), which equals det transfer(G) without forming
+an n x n or m*n x m*n integer matrix.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -277,11 +279,53 @@ def transfer_determinant(Gn: CyclicForm) -> int:
     transfer sends each entry to an n x n circulant, and c -> circulant(c) is
     a ring map, so the blocks commute and det over Z of the block matrix is
     det of the circulant of delta (Silvester, Math. Gazette 84, 2000).  delta
-    comes from the division-free ring determinant; its circulant is the
-    transfer of the 1 x 1 form [[delta]], hermitian because Gn is.
+    comes from the division-free ring determinant, and the circulant's
+    eigenvalues are delta(zeta) over the n-th roots of unity zeta, so its
+    determinant is prod_zeta delta(zeta) = Res(x^n - 1, delta), which
+    `_resultant` computes without forming the n x n matrix.
     """
     delta = _ring_det(Gn.rows(), CyclicElement.one(Gn.n))
-    return transfer(CyclicForm(Gn.n, [[delta]])).determinant()
+    return _resultant([-1] + [0] * (Gn.n - 1) + [1], delta.coeffs)
+
+
+def _strip(p: Sequence[int]) -> List[int]:
+    """The coefficient list without its zero top coefficients."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """Res(A, B) of integer polynomials given by coefficients, lowest degree
+    first (0 when either is 0), by the subresultant algorithm (Cohen, *A
+    Course in Computational Algebraic Number Theory*, Alg. 3.3.7) on the
+    primitive parts: every division is exact, so no rationals occur."""
+    a, b = _strip(a), _strip(b)
+    if not a or not b:
+        return 0
+    ca, cb = gcd(*a), gcd(*b)
+    a, b = [x // ca for x in a], [x // cb for x in b]
+    s = ca ** (len(b) - 1) * cb ** (len(a) - 1)  # the contents, then the sign
+    if len(a) < len(b):
+        a, b = b, a
+        s *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = 1
+    while len(b) > 1:
+        da, db, lb = len(a) - 1, len(b) - 1, b[-1]
+        delta = da - db
+        s *= (-1) ** (da * db)
+        # the pseudo-remainder r of lb^(delta+1) A = B Q + r (Cohen, Alg.
+        # 3.1.2): Q is integral, so each of its coefficients divides exactly
+        r = [lb ** (delta + 1) * x for x in a]
+        for k in range(da, db - 1, -1):
+            q = r[k] // lb
+            for i, y in enumerate(b, k - db):
+                r[i] -= q * y
+        a, b = b, [x // (g * h**delta) for x in _strip(r[:db])]
+        g, h = lb, lb**delta * h // h**delta
+    da = len(a) - 1
+    return s * b[0] ** da * h // h**da if b else 0
 
 
 # -- the rational congruence over the Laurent ring ----------------------------

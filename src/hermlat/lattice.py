@@ -6,9 +6,10 @@ Fincke-Pohst enumerator work on the integral Gram-Schmidt data (leading minors
 d_i and lam_ij = d_{j+1} mu_ij).  No floating point and no rationals anywhere:
 the downstream standardness and defect certificates rely on exact comparisons.
 
-A `GramMatrix` makes its Bareiss sweep (rank, determinant) and its LLL
-reduction on first use and keeps both as tuples; definiteness is whether the
-reduction succeeds, and every enumeration of the matrix starts from it.
+A `GramMatrix` makes its Bareiss sweep (rank, determinant, definiteness by
+Sylvester's criterion) and its LLL reduction on first use and keeps both as
+tuples, so a call that only asks for the determinant or definiteness never
+reduces; every enumeration of the matrix starts from the reduction.
 The reduction keeps only the transform U and the integral Gram-Schmidt data
 (d, lam) of the reduced basis; `lll_reduce` forms the reduced Gram on
 request, and a coset's residue in the reduced basis is one GF(2) solve
@@ -29,11 +30,10 @@ visits nodes only as its solutions are pulled; callers that chain coset passes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import isqrt, lcm
 from operator import eq, mul
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -117,8 +117,8 @@ class GramMatrix:
         """Odd lattice: some vector has odd norm (iff some diagonal entry is odd)."""
         return any(d % 2 for d in self.diagonal())
 
-    def _swept(self) -> Tuple[int, int]:
-        """The `_bareiss` sweep (rank, det), made on first use."""
+    def _swept(self) -> Tuple[int, int, bool]:
+        """The `_bareiss` sweep (rank, det, definite), made on first use."""
         if self._sweep is None:
             self._sweep = _bareiss(self._gram)
         return self._sweep
@@ -134,12 +134,8 @@ class GramMatrix:
         return self._swept()[1]
 
     def is_positive_definite(self) -> bool:
-        """Whether the reduction succeeds (`_integral_gso` tests each leading minor)."""
-        try:
-            self._reduced()
-        except ValueError:
-            return False
-        return True
+        """Whether every leading minor is positive, read off the sweep."""
+        return self._swept()[2]
 
     def to_json_dict(self) -> dict:
         return {"rank": self._rank, "gram": [list(row) for row in self._gram]}
@@ -191,20 +187,24 @@ def direct_sum(G1: GramMatrix, G2: GramMatrix) -> GramMatrix:
 # -- exact elimination --------------------------------------------------------
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
-    """One fraction-free (Bareiss) sweep to echelon form: (rank, det).
+def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int, bool]:
+    """One fraction-free (Bareiss) sweep to echelon form: (rank, det, definite).
 
     Each step takes the first row at or below the current one with a nonzero
     entry in the column, swaps it up if needed, and eliminates below it;
     after a step every entry below the pivot rows is a minor of the input, so
     dividing by the previous pivot is exact.  ``det`` is the determinant of a
-    square input (0 when the rank is short).
+    square input (0 when the rank is short).  With no swap and no skipped
+    column the pivots are the leading minors, so ``definite`` (no swap, no
+    skipped column, every pivot positive) is Sylvester's criterion for a
+    symmetric input.
     """
     m = [list(row) for row in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
     rank = 0
     sign = 1
     prev = 1
+    definite = True
     for col in range(ncols):
         sel = next((i for i in range(rank, nrows) if m[i][col]), None)
         if sel is None:
@@ -214,6 +214,7 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
             sign = -sign
         top = m[rank]
         piv = top[col]
+        definite = definite and sel == rank == col and piv > 0
         for i in range(rank + 1, nrows):
             f = m[i][col]
             m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], top)]
@@ -221,8 +222,8 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
         rank += 1
         if rank == nrows:
             break
-    det = sign * prev if rank == nrows == ncols else 0
-    return rank, det
+    full = rank == nrows == ncols
+    return rank, sign * prev if full else 0, definite and full
 
 
 def _solve_mod2(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Vector:
@@ -344,8 +345,7 @@ def lll_reduce(G: GramMatrix):
 # -- enumeration --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     """Canonically sorted +/- pair representatives within a norm bound.
 
     ``norms[i]`` is the exact norm of ``pairs[i]``, read off the search tree,

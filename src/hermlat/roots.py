@@ -22,9 +22,8 @@ through an isometry search or reference data computed at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from hermlat.forms import flatten_vector
 from hermlat.lattice import (
@@ -127,8 +126,7 @@ _CORES: Dict[Tuple[Tuple[str, int, int], ...], str] = {
 }
 
 
-@dataclass(frozen=True)
-class RootSystemReport:
+class RootSystemReport(NamedTuple):
     """ADE decomposition of the root sublattice of Z^k + L.
 
     `components` covers every root; `units` are the k norm-1 pairs, sorted as

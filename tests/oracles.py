@@ -65,6 +65,17 @@ def frac_det(mat: Sequence[Sequence[int]]) -> Fraction:
     return det
 
 
+def sylvester_matrix(a: Sequence[int], b: Sequence[int]) -> List[List[int]]:
+    """The Sylvester matrix of two polynomials with nonzero top coefficients,
+    given lowest degree first: deg b shifted rows of a over deg a shifted
+    rows of b, highest degree in the first column.  Its determinant is
+    Res(a, b) (1 when both are constants)."""
+    m, n = len(a) - 1, len(b) - 1
+    return [[0] * i + list(a[::-1]) + [0] * (n - 1 - i) for i in range(n)] + [
+        [0] * i + list(b[::-1]) + [0] * (m - 1 - i) for i in range(m)
+    ]
+
+
 def frac_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q by Gaussian elimination over Fraction."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -298,6 +298,22 @@ def test_analyze_reduces_once_and_builds_one_root_graph(tmp_path, capsys, monkey
     assert bounds == [2]  # root_system's one pass gives the roots and the units
 
 
+@pytest.mark.parametrize("section", ["--defect", "--mu"])
+def test_analyze_not_unimodular_skips_the_reduction(tmp_path, capsys, monkeypatch, vn, section):
+    # definiteness and the determinant come from one sweep; nothing reads
+    # an LLL reduction of a definite lattice that is not unimodular
+    G = GramMatrix([[2 * a for a in row] for row in vn(16).gram])
+    path = tmp_path / "2V16.json"
+    path.write_text(json.dumps(G.to_json_dict()))
+    calls = []
+    monkeypatch.setattr(lattice, "_lll_core", lambda gram: calls.append(gram))
+    code, stdout, err = run(capsys, "analyze", str(path), section)
+    assert code == 3 and calls == []
+    assert err == f"error: determinant is {2**64}, not 1: defect, mu and standardness need a unimodular lattice\n"
+    report = json.loads(stdout)
+    assert report["rank"] == 64 and report[section[2:]] == {"status": "not unimodular"}
+
+
 def test_analyze_standard_certificate(tmp_path, capsys):
     form_file, gram_file = tmp_path / "L.json", tmp_path / "V1.json"
     run(capsys, "build", "--k", "1", "--out", str(form_file))

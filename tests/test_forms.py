@@ -1,7 +1,7 @@
 """The rank-4 hermitian family, reduction, and the scalar-restriction map."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -10,8 +10,10 @@ from oracles import (
     module_basis_vector,
     sesq_eval,
     symbolic_family_det,
+    sylvester_matrix,
 )
 from hermlat.forms import (
+    _resultant,
     _ring_det,
     CyclicForm,
     HermitianForm,
@@ -284,6 +286,57 @@ def test_transfer_matches_sesq_pi_on_random_forms(Gn):
     for a, u in enumerate(basis):
         for b, v in enumerate(basis):
             assert G.gram[a][b] == sesq_eval(Gn, u, v).coeff(0)
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+# integer polynomials, lowest degree first, with a nonzero top coefficient
+POLY = st.builds(
+    lambda low, top: low + [top],
+    st.lists(st.integers(-4, 4), max_size=6),
+    st.integers(-4, 4).filter(bool),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(POLY, POLY, POLY, st.integers(1, 3), st.integers(1, 3))
+@example([1, 2], [3, 0, -2], [1], 1, 1)  # deg A < deg B: the swap
+@example([2, 1], [1, 0, 1, 1], [1], 1, 1)  # the swap with both degrees odd
+@example([5], [3], [1], 1, 1)  # two constants
+@example([2], [1, 0, 1], [1], 1, 1)  # constant A
+@example([1, 1, 0, 2], [-3], [1], 1, 1)  # constant B
+@example([2, 1], [1, 0, 1], [-1, 1], 1, 1)  # shared factor x - 1
+@example([1, -2], [3, 1, -5], [1], 1, 1)  # negative top coefficients
+@example([1, 2, 3], [1, 0, 3], [1], 2, 3)  # non-primitive
+@example([0, 0, -1], [-1, 0, 0, 1], [1], 1, 1)  # the last step drops two degrees
+def test_resultant_matches_sylvester_determinant(a, b, f, ka, kb):
+    # f is a factor shared by both (resultant 0 unless constant); ka and kb
+    # make the inputs non-primitive
+    a = [ka * x for x in _poly_mul(a, f)]
+    b = [kb * x for x in _poly_mul(b, f)]
+    assert _resultant(a, b) == frac_det(sylvester_matrix(a, b))
+
+
+def test_resultant_of_zero_and_of_padded_inputs():
+    assert _resultant([0], [1, 1]) == _resultant([1, 1], []) == 0
+    # zero top coefficients are ignored: Res(x^2 - 1, 3) = 9
+    assert _resultant([-1, 0, 1, 0], [3, 0]) == 9
+
+
+@pytest.mark.parametrize("n", [41, 48])
+def test_transfer_determinant_dense_large_modulus(n):
+    # a dense self-conjugate entry (c_k = c_{n-k}) whose norm has ~30 digits
+    c = [k * (n - k) % 7 - 2 for k in range(n)]
+    Gn = CyclicForm(n, [[CyclicElement(n, c)]])
+    det = transfer_determinant(Gn)
+    assert det == frac_det(transfer(Gn).gram)
+    assert len(str(abs(det))) > 20
 
 
 def test_transfer_determinant_examples():

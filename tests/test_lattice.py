@@ -140,6 +140,37 @@ def test_one_sweep_matches_fraction_elimination(r, coeffs):
     assert G.is_positive_definite() == all(m > 0 for m in minors)
 
 
+def _gso_succeeds(rows) -> bool:
+    try:
+        _integral_gso(rows)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 7),
+    st.lists(st.integers(-3, 3), min_size=42, max_size=42),
+    st.integers(-2, 2),
+)
+@example(3, 2, [1] * 42, 0)  # B^T B of a rank-1 B: semidefinite and singular
+@example(2, 2, [1, 0, 0, 1] + [0] * 38, 0)  # the identity: definite
+@example(2, 2, [1, 0, 0, 1] + [0] * 38, -1)  # the zero matrix
+@example(3, 3, [1, 1, 0, 0, 1, 0, 0, 0, 1] + [0] * 33, -1)  # indefinite, zero leading pivot
+def test_definiteness_from_the_sweep_matches_the_gso(r, k, entries, shift):
+    # B^T B + shift I with B of size k x r: definite when B has full column
+    # rank and shift >= 0, semidefinite when k < r and shift = 0, and
+    # indefinite or negative for many negative shifts
+    B = [entries[i * r : (i + 1) * r] for i in range(k)]
+    rows = [
+        [sum(B[l][i] * B[l][j] for l in range(k)) + (shift if i == j else 0) for j in range(r)]
+        for i in range(r)
+    ]
+    assert GramMatrix(rows).is_positive_definite() == _gso_succeeds(rows)
+
+
 def test_structure_report(vn):
     G1 = vn(1)
     assert G1.rank == 4 and G1.determinant() == 1

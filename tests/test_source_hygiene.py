@@ -1,7 +1,11 @@
 """Static checks over the package sources: unused imports, parameters and
-private definitions, bool mode flags, and rationals."""
+private definitions, bool mode flags, rationals and dataclasses, plus what
+importing the CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hermlat
@@ -40,7 +44,8 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_no_module_imports_fractions():
+def _importers(module: str):
+    """(file, line) of every import of the top-level module in the package."""
     offenders = []
     for path in MODULES:
         for node in ast.walk(_tree(path)):
@@ -50,9 +55,28 @@ def test_no_module_imports_fractions():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "fractions" for m in modules):
+            if any(m.split(".")[0] == module for m in modules):
                 offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+    return offenders
+
+
+def test_no_module_imports_fractions():
+    assert _importers("fractions") == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls in inspect, dis, ast and tokenize at start-up
+    assert _importers("dataclasses") == []
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # -S: no site hooks, so only the package's own imports count
+    code = "import sys, hermlat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(hermlat.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_no_unused_parameters():
