@@ -33,6 +33,7 @@ from hermlat.forms import (
     substitute_power,
     transfer,
     transfer_determinant,
+    transfer_image,
 )
 from hermlat.lattice import (
     BudgetExceeded,

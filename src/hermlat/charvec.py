@@ -12,7 +12,9 @@ takes that pass's first solution as the witness of the defect, and
 minimizers, so no pass runs twice.  `is_standard` reads either report and
 enumerates nothing.  The module also provides the closed-form witness
 vectors for the rank-4 transfer family that certify nonstandardness
-without any enumeration.
+without any enumeration, and one characteristic test read off the product
+G w, which comes from the dense Gram or, for a transfer, from the cyclic
+form itself (`transfer_image`), so the rank-4n Gram is never built.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from itertools import chain
 from operator import mul
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from hermlat.forms import CyclicForm, transfer_image
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
     GramMatrix,
@@ -46,14 +49,30 @@ def char_rep(G: GramMatrix) -> Vector:
         raise ValueError("determinant is even; lattice is not unimodular") from None
 
 
-def _characteristic_norm(G: GramMatrix, w: Sequence[int]) -> Optional[int]:
+def _norm_if_characteristic(
+    image: Sequence[int], diagonal: Sequence[int], w: Sequence[int]
+) -> Optional[int]:
     """|w|^2 when w is characteristic, else None, both read off one product
-    G w: (w, e_i) = (G w)_i must agree with (e_i, e_i) mod 2 on every basis
-    vector (sufficient by bilinearity), and |w|^2 = w . G w."""
-    image = _image(G, w)
-    if any((a - b) % 2 for a, b in zip(image, G.diagonal())):
+    image = G w and the diagonal of G: (w, e_i) = (G w)_i must agree with
+    (e_i, e_i) mod 2 on every basis vector (sufficient by bilinearity), and
+    |w|^2 = w . G w."""
+    if any((a - b) % 2 for a, b in zip(image, diagonal)):
         return None
     return sum(map(mul, image, w))
+
+
+def _characteristic_norm(G: GramMatrix, w: Sequence[int]) -> Optional[int]:
+    """`_norm_if_characteristic` on a Gram, from one dense product G w."""
+    return _norm_if_characteristic(_image(G, w), G.diagonal(), w)
+
+
+def _transfer_characteristic_norm(Gn: CyclicForm, w: Sequence[int]) -> Optional[int]:
+    """`_characteristic_norm(transfer(Gn), w)` without forming the transfer:
+    the product is `transfer_image(Gn, w)`, and diagonal entry i*n + j of the
+    transfer is the constant coefficient of Gn[i][i]."""
+    n = Gn.n
+    diagonal = [row[i].coeffs[0] for i, row in enumerate(Gn.rows()) for _ in range(n)]
+    return _norm_if_characteristic(transfer_image(Gn, w), diagonal, w)
 
 
 def is_characteristic(G: GramMatrix, w: Sequence[int]) -> bool:

@@ -12,8 +12,11 @@ vectors, for mu and the minimizers) and `_roots` (the root system).
 Standardness and names are pure checks on those reports: the defect
 decides standardness (Elkies, Math. Res. Lett. 2, 1995), and up to rank 16
 the root system names the lattice (`identify`, SPLAG ch. 16, Table 16.7).
-Claims on the moduli up to 30 use closed-form witnesses that integer
-arithmetic re-checks instead.
+Claims on the moduli up to 30, and the multiplier claims at moduli up to 86,
+use closed-form witnesses that integer arithmetic re-checks instead, on the
+cyclic form (`_cyclic`) through `transfer_image`: no rank-4n Gram is built
+for them.  Only the enumeration claims (moduli up to --max-n) and the Dynkin
+check at modulus 4 form the dense transfer `_vn`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from hermlat.charvec import (
     CharReport,
     DefectReport,
-    _characteristic_norm,
+    _transfer_characteristic_norm,
     char_witness,
     characteristic_defect,
     check_orthonormal_certificate,
@@ -36,6 +39,7 @@ from hermlat.charvec import (
     witness_vector,
 )
 from hermlat.forms import (
+    CyclicForm,
     aug_form,
     b_sequence,
     build_form,
@@ -61,9 +65,16 @@ Claim = Tuple[str, str, Any, Optional[Callable[[], Any]]]
 
 
 @lru_cache(maxsize=None)
+def _cyclic(b: int, n: int) -> CyclicForm:
+    """The form at a = x^b + x^-b reduced modulo x^n - 1 (b = 1 is the
+    first-power form)."""
+    return reduce_form(build_form(sym_power(b)), n)
+
+
+@lru_cache(maxsize=None)
 def _vn(n: int) -> GramMatrix:
     """Transfer of the first-power form at modulus n (rank 4n)."""
-    return transfer(reduce_form(build_form_power(1), n))
+    return transfer(_cyclic(1, n))
 
 
 @lru_cache(maxsize=None)
@@ -89,10 +100,11 @@ def _standard(G: GramMatrix, budget: int) -> dict:
     return {"standard": std, "certificate_ok": std and check_orthonormal_certificate(G, cert)}
 
 
-def _witness_holds(G: GramMatrix, w: Sequence[int], target: int) -> bool:
-    """w is characteristic of norm target < rank, so it certifies defect >=
-    (rank - target) // 8 (`defect_certificate_check`), from one product G w."""
-    return _characteristic_norm(G, w) == target < G.rank
+def _witness_holds(Gn: CyclicForm, w: Sequence[int], target: int) -> bool:
+    """w is characteristic of norm target < rank in transfer(Gn), so it
+    certifies defect >= (rank - target) // 8 (`defect_certificate_check`),
+    from one product `transfer_image(Gn, w)`."""
+    return _transfer_characteristic_norm(Gn, w) == target < Gn.size * Gn.n
 
 
 def _range_claim(
@@ -111,13 +123,15 @@ def _range_claim(
 
 
 def _char_witness_norm(n: int) -> bool:
-    return _characteristic_norm(_vn(n), char_witness(n)) == 4 * n
+    return _transfer_characteristic_norm(_cyclic(1, n), char_witness(n)) == 4 * n
 
 
 def _floor3_witness(n: int) -> bool:
     a = floor3_multiplier(n)
     target = 4 * n - 8 * (n // 3)
-    return wa_norm(n, a) == target and _witness_holds(_vn(n), witness_vector(n, a), target)
+    return wa_norm(n, a) == target and _witness_holds(
+        _cyclic(1, n), witness_vector(n, a), target
+    )
 
 
 def _v3_minimizers(budget: int) -> dict:
@@ -159,9 +173,7 @@ def _specific(b: int) -> dict:
     a = sym_power(b)
     holds, m, witness_norm = specific_criterion(a)
     ok = holds and m == b and all(
-        _witness_holds(
-            transfer(reduce_form(build_form(a), n)), witness_vector(n, (1,)), witness_norm(n)
-        )
+        _witness_holds(_cyclic(b, n), witness_vector(n, (1,)), witness_norm(n))
         for n in (4 * b + 1, 4 * b + 2)
     )
     return {"holds": holds, "m": m, "norms_match": ok}
@@ -170,13 +182,13 @@ def _specific(b: int) -> dict:
 def _distinguishing() -> dict:
     for k in (1, 2, 3):
         bk = b_sequence(k)
-        if not reduce_form(build_form_power(k), bk).is_constant():
+        if not _cyclic(bk, bk).is_constant():
             return {"checked": f"power {k} not constant at its modulus", "all": False}
         for j in range(1, k):
-            _, _, witness_norm = specific_criterion(sym_power(b_sequence(j)))
-            G = transfer(reduce_form(build_form_power(j), bk))
+            bj = b_sequence(j)
+            _, _, witness_norm = specific_criterion(sym_power(bj))
             w = witness_vector(bk, (1,))
-            if witness_norm is None or not _witness_holds(G, w, witness_norm(bk)):
+            if witness_norm is None or not _witness_holds(_cyclic(bj, bk), w, witness_norm(bk)):
                 return {"checked": f"witness failed at j={j}, k={k}", "all": False}
     return {"checked": "k=1..3 with all j<k", "all": True}
 
@@ -218,7 +230,7 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
             "norm 4n-8 characteristic witnesses at moduli 3..30",
             3,
             "all_nonstandard",
-            lambda n: _witness_holds(_vn(n), witness_vector(n, (1,)), 4 * n - 8),
+            lambda n: _witness_holds(_cyclic(1, n), witness_vector(n, (1,)), 4 * n - 8),
         ),
         _range_claim(
             "lemma-char-norm-range",

@@ -11,7 +11,13 @@ linear in the first slot and conjugate-linear in the second, so that
 
 ``transfer`` restricts scalars: a rank-m form over the modulus-n group ring
 becomes a rank m*n integer symmetric matrix on the basis x^j e_i, ordered
-lexicographically with i outermost and j = 0..n-1 innermost.
+lexicographically with i outermost and j = 0..n-1 innermost, so index
+i*n + j meets index i'*n + j' in the coefficient of x^((j'-j) mod n) of
+G[i][i'].  ``transfer_image`` returns the product transfer(G) v in that
+convention without forming the matrix: block i of the image is
+sum_i' sum_k G[i][i'][k] * rot_left(v_i', k), which touches only the nonzero
+coefficients of each entry, O(n) work per coefficient instead of O((m*n)^2)
+for the dense product.
 
 Determinants over the form's own ring (``form_det`` and the first step of
 ``transfer_determinant``) use Berkowitz's algorithm, which never divides and
@@ -271,6 +277,32 @@ def transfer(Gn: CyclicForm) -> GramMatrix:
                 row += cs[: n - j]
             rows.append(row)
     return GramMatrix(rows)
+
+
+def transfer_image(Gn: CyclicForm, v: Sequence[int]) -> Tuple[int, ...]:
+    """transfer(Gn) v without forming transfer(Gn).
+
+    Entry (i*n + j, i'*n + j') of the transfer is g[k] for g = G[i][i'] and
+    k = (j' - j) mod n, so coordinate j of block i of the image is
+    sum_i' sum_k g[k] v_i'[(j + k) mod n]: block i is the sum over the
+    nonzero coefficients g[k] of g[k] times block i' of v rotated left by k.
+    Blocks of v that are all zero are skipped.  A vector whose length is not
+    m*n raises ValueError.
+    """
+    n = Gn.n
+    if len(v) != Gn.size * n:
+        raise ValueError("vector length must match rank")
+    blocks = [(i, v[i * n : i * n + n]) for i in range(Gn.size)]
+    blocks = [(i, b) for i, b in blocks if any(b)]
+    image: List[int] = []
+    for entries in Gn.rows():
+        acc = [0] * n
+        for i, b in blocks:
+            for k, c in enumerate(entries[i].coeffs):
+                if c:
+                    acc = [s + c * x for s, x in zip(acc, b[k:] + b[:k])]
+        image += acc
+    return tuple(image)
 
 
 def transfer_determinant(Gn: CyclicForm) -> int:

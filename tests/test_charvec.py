@@ -29,6 +29,7 @@ from hermlat.charvec import (
     wa_norm,
     witness_vector,
 )
+from hermlat.forms import build_form_power, reduce_form
 from hermlat.lattice import GramMatrix, direct_sum, enumerate_short, norm
 from hermlat.claims import _witness_holds
 from hermlat.ring import LaurentPoly, sym_power
@@ -202,8 +203,10 @@ def _witness_cases(n):
 
 
 def test_witness_checks_match_entrywise_definitions(vn):
+    # the Gram checks on vn(n), and the claims' check on the cyclic form it
+    # is the transfer of, against the entrywise definitions on vn(n)
     for n in range(3, 31):
-        G = vn(n)
+        G, Gn = vn(n), reduce_form(build_form_power(1), n)
         r, g = G.rank, G.gram
         for w, target in _witness_cases(n):
             char, nw = entrywise_is_characteristic(g, w), entrywise_norm(g, w)
@@ -211,8 +214,8 @@ def test_witness_checks_match_entrywise_definitions(vn):
             for d in (0, 1, n // 3, n // 3 + 1):
                 assert defect_certificate_check(G, w, d) == (char and nw <= r - 8 * d)
             want = nw == target < r and char and nw <= r - 8 * ((r - target) // 8)
-            assert _witness_holds(G, w, target) == want
-            assert _witness_holds(G, w, nw) == (char and nw < r)
+            assert _witness_holds(Gn, w, target) == want
+            assert _witness_holds(Gn, w, nw) == (char and nw < r)
 
 
 def test_char_witness_shape():

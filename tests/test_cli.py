@@ -16,8 +16,9 @@ import hermlat.lattice as lattice
 import hermlat.roots as roots
 from oracles import apply_basis_change, e8_gram, random_unimodular
 from hermlat.charvec import characteristic_defect, defect_certificate_check, min_characteristic
-from hermlat.forms import build_form_power, reduce_form, transfer
+from hermlat.forms import CyclicForm, build_form_power, reduce_form, transfer
 from hermlat.lattice import GramMatrix, direct_sum, enumerate_short
+from hermlat.ring import CyclicElement
 from hermlat.roots import identity_gram
 
 
@@ -483,6 +484,55 @@ def test_verify_paper_tampered_input_fails(capsys, monkeypatch):
     code, stdout, _ = run(capsys, "verify-paper", "--max-n", "3")
     assert code == 1
     assert "FAIL" in stdout
+
+
+def test_verify_paper_tampered_cyclic_form_fails(capsys, monkeypatch):
+    # +2 on the constant coefficient of entry (0, 0) keeps every cyclic form
+    # hermitian; the dense transfers stay untampered, so each failure below
+    # comes from a witness checked on the cyclic form
+    real_cyclic = claims._cyclic
+
+    def tampered(b, n):
+        rows = [list(r) for r in real_cyclic(b, n).rows()]
+        c = rows[0][0].coeffs
+        rows[0][0] = CyclicElement(n, (c[0] + 2,) + c[1:])
+        return CyclicForm(n, rows)
+
+    monkeypatch.setattr(claims, "_cyclic", tampered)
+    monkeypatch.setattr(claims, "_vn", lambda n: transfer(real_cyclic(1, n)))
+    code, stdout, _ = run(capsys, "verify-paper", "--max-n", "3", "--format", "json")
+    assert code == 1
+    records = {r["claim_id"]: r for r in json.loads(stdout)["records"]}
+    assert records["thm-new-nonstandard-range"]["computed"] == {
+        "moduli": "failed at 3",
+        "all_nonstandard": False,
+    }
+    # the norm-element witness is zero on the first block, so it cannot see
+    # the change; every other witness on a cyclic form does
+    failed = {k for k, r in records.items() if r["status"] == "fail"}
+    assert failed == {
+        "thm-new-nonstandard-range",
+        "defect-bound-range",
+        "lemma-specific-a-x1",
+        "lemma-specific-a-x5",
+        "lemma-specific-a-x21",
+        "distinguishing-powers",
+    }
+
+
+def test_verify_paper_forms_dense_transfers_only_up_to_max_n(capsys, monkeypatch):
+    moduli = []
+
+    def spy(Gn):
+        moduli.append(Gn.n)
+        return transfer(Gn)
+
+    monkeypatch.setattr(claims, "transfer", spy)
+    # uncached, so every dense transfer of this run passes the spy
+    monkeypatch.setattr(claims, "_vn", claims._vn.__wrapped__)
+    code, _, _ = run(capsys, "verify-paper", "--max-n", "5")
+    assert code == 0
+    assert moduli and max(moduli) <= 5
 
 
 @pytest.mark.parametrize("max_n", ["3", "5"])

@@ -2,13 +2,15 @@
 
 Suites: ring homomorphism/involution laws, the mod-8 congruence for
 characteristic vectors, mu multiplicativity with defect additivity on direct
-sums, transfer symmetry/equivariance, enumeration against brute force on
-small random lattices, and the standardness criterion defect = 0 iff a full
-set of unit vectors exists.
+sums, transfer symmetry/equivariance, the cyclic product `transfer_image`
+against the dense one, enumeration against brute force on small random
+lattices, and the standardness criterion defect = 0 iff a full set of unit
+vectors exists.
 """
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +21,17 @@ from oracles import (
     random_unimodular,
 )
 from hermlat.charvec import char_rep, is_characteristic, min_characteristic
-from hermlat.forms import aug_form, build_form, reduce_form, transfer
+from hermlat.forms import (
+    HermitianForm,
+    aug_form,
+    build_form,
+    reduce_form,
+    transfer,
+    transfer_image,
+)
 from hermlat.lattice import (
     GramMatrix,
+    _image,
     direct_sum,
     enumerate_coset,
     enumerate_short,
@@ -148,6 +158,52 @@ def test_transfer_symmetry_equivariance(a, n):
                         == g[i * n + (j + 1) % n][i2 * n + (j2 + 1) % n]
                     )
     assert aug_form(F).gram == transfer(reduce_form(F, 1)).gram
+
+
+@st.composite
+def cyclic_forms_and_vectors(draw):
+    """(Gn, v) at a modulus n in 1..40: Gn is the rank-4 form at a
+    self-conjugate multiplier, or a hermitian form of rank 1..3 whose
+    off-diagonal entries are not self-conjugate (so a product that rotates
+    the wrong way shows), with exponents up to +-2n so that reducing wraps;
+    v has length rank * n and some blocks all zero."""
+    n = draw(st.integers(1, 40))
+
+    def laurent():
+        return LaurentPoly(
+            draw(st.dictionaries(st.integers(-2 * n, 2 * n), st.integers(-3, 3), max_size=4))
+        )
+
+    def self_conjugate():
+        side = draw(st.dictionaries(st.integers(1, 2 * n), st.integers(-3, 3), max_size=3))
+        const = draw(st.integers(-3, 3))
+        return LaurentPoly({0: const, **side, **{-e: c for e, c in side.items()}})
+
+    if draw(st.booleans()):
+        F = build_form(self_conjugate())
+    else:
+        m = draw(st.integers(1, 3))
+        rows = [[None] * m for _ in range(m)]
+        for i in range(m):
+            rows[i][i] = self_conjugate()
+            for j in range(i + 1, m):
+                rows[i][j] = laurent()
+                rows[j][i] = rows[i][j].conj()
+        F = HermitianForm(rows)
+    v = []
+    for _ in range(F.size):
+        v += [0] * n if draw(st.booleans()) else draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return reduce_form(F, n), tuple(v)
+
+
+@SUITE
+@given(cyclic_forms_and_vectors())
+def test_transfer_image_matches_the_dense_product(case):
+    Gn, v = case
+    assert transfer_image(Gn, v) == _image(transfer(Gn), v)
+    for bad in (v[:-1], v + (0,)):
+        with pytest.raises(ValueError):
+            transfer_image(Gn, bad)
 
 
 # -- suite 5: enumeration equals brute force ---------------------------------------
