@@ -240,14 +240,16 @@ def defect_certificate_check(G: GramMatrix, w: Sequence[int], d: int) -> bool:
 
 
 def char_witness(n: int) -> Vector:
-    """w = N (e_3 + e_4) in transfer coordinates; characteristic, norm 4n."""
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    return tuple([0] * (2 * n) + [1] * (2 * n))
+    """w = N (e_3 + e_4) in transfer coordinates; characteristic, norm 4n.
+    It is the witness vector of the zero multiplier."""
+    return witness_vector(n, ())
 
 
 def fold_coeffs(n: int, a_coeffs: Sequence[int]) -> List[int]:
-    """Coefficients of a(x) = a_0 + a_1 x + ... reduced mod x^n - 1."""
+    """Coefficients of a(x) = a_0 + a_1 x + ... reduced mod x^n - 1.
+    Raises ValueError for n < 1, and so do the witness helpers below."""
+    if n < 1:
+        raise ValueError("modulus must be >= 1")
     out = [0] * n
     for j, aj in enumerate(a_coeffs):
         out[j % n] += aj
@@ -272,8 +274,6 @@ def wa_norm(n: int, a_coeffs: Sequence[int]) -> int:
     Valid for every n >= 1 with cyclic autocorrelations; must agree with the
     direct Gram evaluation on the transfer.
     """
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
     a1 = sum(a_coeffs)
     a_0 = autocorrelation(n, a_coeffs, 0)
     a_1 = autocorrelation(n, a_coeffs, 1)

@@ -40,6 +40,7 @@ from hermlat.charvec import (
 )
 from hermlat.forms import (
     CyclicForm,
+    HermitianForm,
     aug_form,
     b_sequence,
     build_form,
@@ -65,10 +66,16 @@ Claim = Tuple[str, str, Any, Optional[Callable[[], Any]]]
 
 
 @lru_cache(maxsize=None)
+def _form(b: int) -> HermitianForm:
+    """The rank-4 form at a = x^b + x^-b (b = 1 is the first-power form),
+    built once per multiplier."""
+    return build_form(sym_power(b))
+
+
+@lru_cache(maxsize=None)
 def _cyclic(b: int, n: int) -> CyclicForm:
-    """The form at a = x^b + x^-b reduced modulo x^n - 1 (b = 1 is the
-    first-power form)."""
-    return reduce_form(build_form(sym_power(b)), n)
+    """`_form(b)` reduced modulo x^n - 1."""
+    return reduce_form(_form(b), n)
 
 
 @lru_cache(maxsize=None)

@@ -155,6 +155,8 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.budget < 0:
+        raise CLIError(EXIT_DOMAIN, "budget must be >= 0")
     G = _load(args.gram_file, GramMatrix, "Gram")
     if not G.is_positive_definite():
         raise CLIError(EXIT_DOMAIN, "Gram matrix is not positive definite")
@@ -233,6 +235,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
+    if args.budget < 0:
+        raise CLIError(EXIT_DOMAIN, "budget must be >= 0")
     records = []
     for claim_id, location, expected, run in _claim_list(args.max_n, args.budget):
         t0 = time.monotonic()

@@ -6,15 +6,16 @@ Fincke-Pohst enumerator work on the integral Gram-Schmidt data (leading minors
 d_i and lam_ij = d_{j+1} mu_ij).  No floating point and no rationals anywhere:
 the downstream standardness and defect certificates rely on exact comparisons.
 
-A `GramMatrix` makes its Bareiss sweep (rank, determinant, definiteness by
-Sylvester's criterion) and its LLL reduction on first use and keeps both as
-tuples, so a call that only asks for the determinant or definiteness never
-reduces; every enumeration of the matrix starts from the reduction.
-The reduction keeps only the transform U and the integral Gram-Schmidt data
-(d, lam) of the reduced basis; `lll_reduce` forms the reduced Gram on
-request, and a coset's residue in the reduced basis is one GF(2) solve
-against U.  Neither spends enumeration nodes, so neither counts against a
-budget.
+A `GramMatrix` makes one Bareiss sweep (rank, determinant, definiteness by
+Sylvester's criterion and, when definite, the integral Gram-Schmidt data on
+its pivot rows) and one LLL reduction started from that data, each on first
+use, and keeps both as tuples: a Gram is eliminated once, a call that only
+asks for the determinant or definiteness never reduces, and every enumeration
+starts from the reduction.  The reduction keeps only the transform U and the
+integral Gram-Schmidt data (d, lam) of the reduced basis; `lll_reduce` forms
+the reduced Gram on request, and a coset's residue in the reduced basis is
+one GF(2) solve against U.  Neither spends enumeration nodes, so neither
+counts against a budget.
 
 Enumeration walks a bounded search tree; every visited node counts against a
 caller-supplied node budget (default 10^9) and exhausting it raises
@@ -33,11 +34,12 @@ from __future__ import annotations
 from itertools import chain
 from math import isqrt, lcm
 from operator import eq, mul
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 DEFAULT_NODE_BUDGET = 10**9
 
 Vector = Tuple[int, ...]
+_Sweep = Tuple[int, int, Optional[Tuple[Vector, Tuple[Vector, ...]]]]
 
 
 class BudgetExceeded(RuntimeError):
@@ -117,17 +119,21 @@ class GramMatrix:
         """Odd lattice: some vector has odd norm (iff some diagonal entry is odd)."""
         return any(d % 2 for d in self.diagonal())
 
-    def _swept(self) -> Tuple[int, int, bool]:
-        """The `_bareiss` sweep (rank, det, definite), made on first use."""
+    def _swept(self) -> _Sweep:
+        """The `_bareiss` sweep (rank, det, gso), made on first use."""
         if self._sweep is None:
             self._sweep = _bareiss(self._gram)
         return self._sweep
 
     def _reduced(self):
-        """The `_lll_core` reduction (U, d, lam), made on first use.
-        Raises ValueError when the matrix is not positive definite."""
+        """The `_lll_core` reduction (U, d, lam) of the sweep's Gram-Schmidt
+        data, made on first use.  Raises ValueError when the matrix is not
+        positive definite."""
         if self._reduction is None:
-            self._reduction = _lll_core(self._gram)
+            gso = self._swept()[2]
+            if gso is None:
+                raise ValueError("matrix is not positive definite")
+            self._reduction = _lll_core(*gso)
         return self._reduction
 
     def determinant(self) -> int:
@@ -135,7 +141,7 @@ class GramMatrix:
 
     def is_positive_definite(self) -> bool:
         """Whether every leading minor is positive, read off the sweep."""
-        return self._swept()[2]
+        return self._swept()[2] is not None
 
     def to_json_dict(self) -> dict:
         return {"rank": self._rank, "gram": [list(row) for row in self._gram]}
@@ -187,17 +193,21 @@ def direct_sum(G1: GramMatrix, G2: GramMatrix) -> GramMatrix:
 # -- exact elimination --------------------------------------------------------
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int, bool]:
-    """One fraction-free (Bareiss) sweep to echelon form: (rank, det, definite).
+def _bareiss(rows: Sequence[Sequence[int]]) -> _Sweep:
+    """One fraction-free (Bareiss) sweep to echelon form: (rank, det, gso).
 
     Each step takes the first row at or below the current one with a nonzero
     entry in the column, swaps it up if needed, and eliminates below it;
     after a step every entry below the pivot rows is a minor of the input, so
     dividing by the previous pivot is exact.  ``det`` is the determinant of a
     square input (0 when the rank is short).  With no swap and no skipped
-    column the pivots are the leading minors, so ``definite`` (no swap, no
-    skipped column, every pivot positive) is Sylvester's criterion for a
-    symmetric input.
+    column the pivots are the leading minors d[1..r] (d[0] = 1), and pivot
+    row j of a symmetric input reads (0, ..., 0, d[j+1], lam[j+1][j], ...,
+    lam[r-1][j]) with lam[i][j] = d[j+1] mu_ij: the integral Gram-Schmidt
+    data of Cohen, *A Course in Computational Algebraic Number Theory*, Alg.
+    2.6.7.  When every pivot is also positive, the input is positive definite
+    (Sylvester's criterion) and ``gso`` is (d, lam), lam zero on and above
+    its diagonal; otherwise ``gso`` is None.
     """
     m = [list(row) for row in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
@@ -223,7 +233,13 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int, bool]:
         if rank == nrows:
             break
     full = rank == nrows == ncols
-    return rank, sign * prev if full else 0, definite and full
+    if not (definite and full):
+        return rank, sign * prev if full else 0, None
+    # column i of the echelon form is (lam[i][0], ..., lam[i][i-1], d[i+1], 0, ...)
+    cols = list(zip(*m))
+    d = (1, *(cols[i][i] for i in range(rank)))
+    lam = tuple(col[:i] + (0,) * (rank - i) for i, col in enumerate(cols))
+    return rank, prev, (d, lam)
 
 
 def _solve_mod2(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Vector:
@@ -252,50 +268,24 @@ def _rows(m) -> Tuple[Tuple[int, ...], ...]:
     return tuple(map(tuple, m))
 
 
-def _integral_gso(gram) -> Tuple[List[int], List[List[int]]]:
-    """Integral Gram-Schmidt data (d, lam) of a Gram matrix (Cohen, *A Course
-    in Computational Algebraic Number Theory*, Alg. 2.6.7, step 2).
-
-    d[0] = 1 and d[i+1] is the leading (i+1)-minor, so the Gram-Schmidt
-    norms are B_i = d[i+1] / d[i]; lam[i][j] = d[j+1] mu_ij for j < i.  All
-    are integers, and every division below is exact.  Raises on inputs that
-    are not positive definite.
-    """
-    r = len(gram)
-    d = [1] * (r + 1)
-    lam = [[0] * r for _ in range(r)]
-    for k in range(r):
-        lk = lam[k]
-        for j in range(k + 1):
-            lj = lam[j]
-            u = gram[k][j]
-            for i in range(j):
-                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
-            if j < k:
-                lk[j] = u
-            elif u <= 0:
-                raise ValueError("matrix is not positive definite")
-            else:
-                d[k + 1] = u
-    return d, lam
-
-
-def _lll_core(gram_in):
-    """Gram-only LLL with the Lovasz constant 3/4.  Returns (U, d, lam) as
-    tuples: U, whose columns are the reduced basis in input coordinates, so
-    U^T G U is the reduced Gram, and (d, lam), the integral Gram-Schmidt data
-    of that basis, all integers.
+def _lll_core(d, lam):
+    """Gram-only LLL with the Lovasz constant 3/4, started from the integral
+    Gram-Schmidt data (d, lam) of a positive definite Gram G (its sweep's
+    ``gso``).  Returns (U, d, lam) as tuples: U, whose columns are the
+    reduced basis in input coordinates, so U^T G U is the reduced Gram, and
+    (d, lam) of that basis, all integers.
 
     Size reduction and the Lovasz test read only (d, lam), which are updated
-    in place on each size reduction and swap (Cohen, Alg. 2.6.7), so the
-    reduced Gram itself is never formed.  Row k is reduced against every
-    earlier row, rounding mu = lam / d to floor(mu + 1/2), before the Lovasz
-    test B_k >= (3/4 - mu_{k,k-1}^2) B_{k-1}, which in integers reads
-    4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam_{k,k-1}^2.
+    in copies on each size reduction and swap (Cohen, Alg. 2.6.7), so the
+    input tuples never change and the reduced Gram is never formed.  Row k
+    is reduced against every earlier row, rounding mu = lam / d to
+    floor(mu + 1/2), before the Lovasz test B_k >= (3/4 - mu_{k,k-1}^2)
+    B_{k-1}, which in integers reads 4 d[k+1] d[k-1] >= 3 d[k]^2 -
+    4 lam_{k,k-1}^2.
     """
-    r = len(gram_in)
+    r = len(lam)
     basis = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    d, lam = _integral_gso(gram_in)
+    d, lam = list(d), [list(row) for row in lam]
 
     def row_op(k: int, j: int, q: int) -> None:
         # b_k <- b_k - q b_j

@@ -250,22 +250,19 @@ def v4_root_batches() -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
     def mono(e: int) -> CyclicElement:
         return CyclicElement.monomial(n, e)
 
-    def vec(c1, c2, c3, c4) -> List[CyclicElement]:
-        return [c1, c2, c3, c4]
-
     one = mono(0)
     x = mono(1)
     x2 = mono(2)
     ones_134 = one + x + mono(3)  # 1 + x + x^3
     vs = [
-        vec(zero, zero, zero, x2),
-        vec(-x2, x2, x2, zero),
-        vec(zero, zero, x2, zero),
-        vec(x2, -one, zero, zero),
-        vec(one, -one, zero, zero),
-        vec(zero, zero, one, zero),
-        vec(-one, one, one, -one),
-        vec(-one, -one, ones_134, ones_134),
+        [zero, zero, zero, x2],
+        [-x2, x2, x2, zero],
+        [zero, zero, x2, zero],
+        [x2, -one, zero, zero],
+        [one, -one, zero, zero],
+        [zero, zero, one, zero],
+        [-one, one, one, -one],
+        [-one, -one, ones_134, ones_134],
     ]
     batch1 = tuple(flatten_vector(v) for v in vs)
     batch2 = tuple(flatten_vector([x * c for c in v]) for v in vs)

@@ -14,6 +14,7 @@ from oracles import (
     random_unimodular,
 )
 from hermlat.charvec import (
+    autocorrelation,
     char_rep,
     char_witness,
     characteristic_defect,
@@ -222,6 +223,22 @@ def test_char_witness_shape():
     assert char_witness(3) == (0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
         char_witness(0)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        char_witness,
+        lambda n: witness_vector(n, (1,)),
+        lambda n: autocorrelation(n, (1, 1), 1),
+        lambda n: wa_norm(n, (1,)),
+    ],
+    ids=["char_witness", "witness_vector", "autocorrelation", "wa_norm"],
+)
+def test_witness_helpers_reject_moduli_below_one(call, n):
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        call(n)
 
 
 def test_witness_vector_and_fold():

@@ -4,6 +4,7 @@ import json
 import random
 import tempfile
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import hermlat.lattice as lattice
 import hermlat.roots as roots
 from oracles import apply_basis_change, e8_gram, random_unimodular
 from hermlat.charvec import characteristic_defect, defect_certificate_check, min_characteristic
-from hermlat.forms import CyclicForm, build_form_power, reduce_form, transfer
+from hermlat.forms import CyclicForm, build_form, build_form_power, reduce_form, transfer
 from hermlat.lattice import GramMatrix, direct_sum, enumerate_short
 from hermlat.ring import CyclicElement
 from hermlat.roots import identity_gram
@@ -307,7 +308,7 @@ def test_analyze_not_unimodular_skips_the_reduction(tmp_path, capsys, monkeypatc
     path = tmp_path / "2V16.json"
     path.write_text(json.dumps(G.to_json_dict()))
     calls = []
-    monkeypatch.setattr(lattice, "_lll_core", lambda gram: calls.append(gram))
+    monkeypatch.setattr(lattice, "_lll_core", lambda d, lam: calls.append(d))
     code, stdout, err = run(capsys, "analyze", str(path), section)
     assert code == 3 and calls == []
     assert err == f"error: determinant is {2**64}, not 1: defect, mu and standardness need a unimodular lattice\n"
@@ -360,6 +361,16 @@ def test_analyze_budget_exhaustion(tmp_path, capsys):
     code, stdout, _ = run(capsys, "analyze", str(gram_file), "--defect", "--budget", str(nodes))
     assert code == 0
     assert json.loads(stdout)["defect"] == {"min_norm": 12, "defect": 1}
+
+
+def test_analyze_rejects_a_negative_budget(tmp_path, capsys):
+    path = tmp_path / "I4.json"
+    path.write_text(json.dumps(identity_gram(4).to_json_dict()))
+    code, stdout, err = run(capsys, "analyze", str(path), "--budget", "-5")
+    assert (code, stdout, err) == (3, "", "error: budget must be >= 0\n")
+    # a budget of 0 is valid: the search runs out of nodes at once
+    code, stdout, _ = run(capsys, "analyze", str(path), "--defect", "--budget", "0")
+    assert code == 4 and json.loads(stdout)["defect"] == {"status": "skipped(budget)"}
 
 
 def test_analyze_defect_alone_does_not_list(tmp_path, capsys, monkeypatch, vn):
@@ -471,6 +482,13 @@ def test_verify_paper_tiny_budget_skips_not_fails(capsys):
     assert "FAIL" not in stdout and "SKIP" in stdout
 
 
+def test_verify_paper_rejects_a_negative_budget(capsys):
+    code, stdout, err = run(capsys, "verify-paper", "--budget", "-1")
+    assert (code, stdout, err) == (3, "", "error: budget must be >= 0\n")
+    code, stdout, _ = run(capsys, "verify-paper", "--max-n", "3", "--budget", "0")
+    assert code == 0 and "FAIL" not in stdout and "SKIP" in stdout
+
+
 def test_verify_paper_tampered_input_fails(capsys, monkeypatch):
     real_vn = claims._vn
 
@@ -533,6 +551,24 @@ def test_verify_paper_forms_dense_transfers_only_up_to_max_n(capsys, monkeypatch
     code, _, _ = run(capsys, "verify-paper", "--max-n", "5")
     assert code == 0
     assert moduli and max(moduli) <= 5
+
+
+def test_verify_paper_builds_each_multiplier_form_once(capsys, monkeypatch):
+    multipliers = []
+
+    def spy(a):
+        multipliers.append(a)
+        return build_form(a)
+
+    monkeypatch.setattr(claims, "build_form", spy)
+    # fresh caches, so every form this run needs passes the spy
+    for name, cached in list(vars(claims).items()):
+        if hasattr(cached, "cache_clear"):
+            monkeypatch.setattr(claims, name, lru_cache(maxsize=None)(cached.__wrapped__))
+    code, _, _ = run(capsys, "verify-paper", "--max-n", "5")
+    assert code == 0
+    # one build per multiplier x^b + x^-b, b = 1, 5, 21
+    assert 0 < len(multipliers) <= 3
 
 
 @pytest.mark.parametrize("max_n", ["3", "5"])

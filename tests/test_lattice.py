@@ -17,6 +17,7 @@ from oracles import (
     frac_det,
     frac_enumerate_coset,
     frac_enumerate_short,
+    frac_gso,
     frac_lll,
     random_unimodular,
 )
@@ -30,8 +31,6 @@ from hermlat.claims import _floor3_witness
 from hermlat.lattice import (
     _Budget,
     _coset,
-    _integral_gso,
-    _lll_core,
     _rows,
     _solve_mod2,
     DEFAULT_NODE_BUDGET,
@@ -140,12 +139,17 @@ def test_one_sweep_matches_fraction_elimination(r, coeffs):
     assert G.is_positive_definite() == all(m > 0 for m in minors)
 
 
-def _gso_succeeds(rows) -> bool:
-    try:
-        _integral_gso(rows)
-    except ValueError:
-        return False
-    return True
+def _oracle_gso(gram):
+    """The integral Gram-Schmidt data (d, lam) from the Fraction oracle's
+    (mu, B): d[i+1] = B_0 ... B_i and lam[i][j] = d[j+1] mu_ij for j < i,
+    zero on and above the diagonal."""
+    mu, B = frac_gso(gram)
+    d = [1]
+    for b in B:
+        d.append(d[-1] * b)
+    r = len(B)
+    lam = [[d[j + 1] * mu[i][j] if j < i else 0 for j in range(r)] for i in range(r)]
+    return tuple(d), _rows(lam)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -168,7 +172,13 @@ def test_definiteness_from_the_sweep_matches_the_gso(r, k, entries, shift):
         [sum(B[l][i] * B[l][j] for l in range(k)) + (shift if i == j else 0) for j in range(r)]
         for i in range(r)
     ]
-    assert GramMatrix(rows).is_positive_definite() == _gso_succeeds(rows)
+    G = GramMatrix(rows)
+    gso = G._swept()[2]
+    if all(frac_det([row[:m] for row in rows[:m]]) > 0 for m in range(1, r + 1)):
+        assert gso == _oracle_gso(rows)
+    else:
+        assert gso is None
+    assert G.is_positive_definite() == (gso is not None)
 
 
 def test_structure_report(vn):
@@ -421,8 +431,7 @@ def _assert_matches_oracle(G):
     G2, U = lll_reduce(G)
     g, Uf, Uinv = frac_lll(G.gram)
     assert (G2.gram, U) == (_rows(g), _rows(Uf))
-    d, lam = _integral_gso(G2.gram)
-    assert G._reduced() == (U, tuple(d), _rows(lam))
+    assert G._reduced() == (U, *_oracle_gso(G2.gram))
 
     pairs, nodes = frac_enumerate_short(G.gram, 2)
     res = enumerate_short(G, 2)
@@ -482,7 +491,7 @@ def test_not_positive_definite_raises(rows):
     G = GramMatrix(rows)
     r = G.rank
     for call in (
-        lambda: _lll_core(G.gram),
+        lambda: G._reduced(),
         lambda: lll_reduce(G),
         lambda: enumerate_short(G, 1),
         lambda: enumerate_coset(G, [1] * r, 4),
