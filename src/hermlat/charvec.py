@@ -29,11 +29,11 @@ from hermlat.lattice import (
     GramMatrix,
     _Budget,
     _coset,
+    _gram_of,
     _image,
     _input_pairs,
     _solve_mod2,
     canonical_rep,
-    inner,
 )
 from hermlat.ring import LaurentPoly
 
@@ -188,7 +188,10 @@ def is_standard(
     if report.defect == 0:
         if len(units) != r:
             raise AssertionError("defect 0 but unit-pair count differs from rank")
-        return True, _orthonormal_columns(G, units)
+        cert = {"kind": "orthonormal_basis", "columns": [list(u) for u in units]}
+        if not check_orthonormal_certificate(G, cert):
+            raise AssertionError("unit pairs are not an orthonormal basis")
+        return True, cert
     if len(units) == r:
         raise AssertionError("positive defect but a full set of unit pairs")
     return False, {
@@ -199,27 +202,15 @@ def is_standard(
     }
 
 
-def _orthonormal_columns(G: GramMatrix, pairs: Sequence[Vector]) -> dict:
-    """Columns u_1..u_r with u_i^T G u_j = delta_ij, verified exactly by
-    `check_orthonormal_certificate`: the certificate built from the norm-1
-    pairs of a standard lattice."""
-    cert = {"kind": "orthonormal_basis", "columns": [list(u) for u in pairs]}
-    if not check_orthonormal_certificate(G, cert):
-        raise AssertionError("unit pairs are not an orthonormal basis")
-    return cert
-
-
 def check_orthonormal_certificate(G: GramMatrix, cert: dict) -> bool:
+    """Whether the certificate lists rank columns U with U^T G U = I."""
     if cert.get("kind") != "orthonormal_basis":
         return False
     cols = cert.get("columns")
-    if not isinstance(cols, list) or len(cols) != G.rank:
+    r = G.rank
+    if not isinstance(cols, list) or len(cols) != r:
         return False
-    for i, u in enumerate(cols):
-        for j, v in enumerate(cols):
-            if inner(G, u, v) != (1 if i == j else 0):
-                return False
-    return True
+    return _gram_of(G, cols) == tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
 
 
 def defect_certificate_check(G: GramMatrix, w: Sequence[int], d: int) -> bool:

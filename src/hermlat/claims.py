@@ -50,7 +50,7 @@ from hermlat.forms import (
     reduce_form,
     transfer,
 )
-from hermlat.lattice import GramMatrix, canonical_rep, direct_sum, inner
+from hermlat.lattice import GramMatrix, _gram_of, canonical_rep, direct_sum
 from hermlat.ring import LaurentPoly, format_laurent, sym_power
 from hermlat.roots import (
     RootSystemReport,
@@ -162,10 +162,11 @@ def _v3_minimizers(budget: int) -> dict:
 def _v4_dynkin() -> dict:
     G = _vn(4)
     b1, b2 = v4_root_batches()
+    gram = _gram_of(G, b1 + b2)
     return {
         "batch1_d8": check_dynkin(G, b1, "D", 8),
         "batch2_d8": check_dynkin(G, b2, "D", 8),
-        "orthogonal": all(inner(G, u, v) == 0 for u in b1 for v in b2),
+        "orthogonal": not any(x for row in gram[: len(b1)] for x in row[len(b1) :]),
     }
 
 

@@ -7,7 +7,9 @@ pairing convention throughout is
     <u, v> = sum_ij u_i * G[i][j] * conj(v_j)
 
 linear in the first slot and conjugate-linear in the second, so that
-<v, u> = conj(<u, v>).
+<v, u> = conj(<u, v>).  The Gram matrix of a list of vectors under it is
+`_form_gram`, one product G conj(v) per vector, and the rational congruence
+Q G conj(Q)^T of `rational_congruence_check` is the Gram matrix of Q's rows.
 
 ``transfer`` restricts scalars: a rank-m form over the modulus-n group ring
 becomes a rank m*n integer symmetric matrix on the basis x^j e_i, ordered
@@ -363,23 +365,20 @@ def _resultant(a: Sequence[int], b: Sequence[int]) -> int:
 # -- the rational congruence over the Laurent ring ----------------------------
 
 
-def _mat_mul(A, B):
-    m, k, nn = len(A), len(B), len(B[0])
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(nn):
-            acc = LaurentPoly.zero()
-            for l in range(k):
-                acc = acc + A[i][l] * B[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _mat_conj_transpose(A):
-    m, n = len(A), len(A[0])
-    return [[A[j][i].conj() for j in range(m)] for i in range(n)]
+def _form_gram(G: HermitianForm, vectors: Sequence[Sequence[LaurentPoly]]):
+    """The Gram matrix of the vectors under the pairing: entry (k, l) is
+    <v_k, v_l> = sum_ij v_k[i] G[i][j] conj(v_l[j]).  One product
+    G conj(v) per vector, with the conjugate taken once, then one dot
+    product per entry.  A vector whose length is not the form's size raises
+    ValueError."""
+    zero = LaurentPoly.zero()
+    images = []
+    for v in vectors:
+        if len(v) != G.size:
+            raise ValueError("vector length must match the form size")
+        cv = [c.conj() for c in v]
+        images.append([sum(map(mul, row, cv), zero) for row in G.rows()])
+    return [[sum(map(mul, u, gv), zero) for gv in images] for u in vectors]
 
 
 def rational_congruence_check(a: LaurentPoly) -> bool:
@@ -387,9 +386,9 @@ def rational_congruence_check(a: LaurentPoly) -> bool:
     rank-4 form at a and P = [[I, -B/2], [0, I]] with B = [[1+a, a], [a, 1+a]].
 
     The check runs in integers on Q = 2P = [[2I, -B], [0, 2I]], for which the
-    same identity times 4 reads Q * G * conj(Q)^T = diag(2, 2, 8, 8).  This
-    certifies positive definiteness of the form whenever a is specialised
-    compatibly.
+    same identity times 4 reads Q * G * conj(Q)^T = diag(2, 2, 8, 8).  The
+    left side is the `_form_gram` of the rows of Q.  This certifies positive
+    definiteness of the form whenever a is specialised compatibly.
     """
     G = build_form(a)
     zero = LaurentPoly.zero()
@@ -403,11 +402,10 @@ def rational_congruence_check(a: LaurentPoly) -> bool:
         [zero, zero, two, zero],
         [zero, zero, zero, two],
     ]
-    M = _mat_mul(_mat_mul(Q, [list(r) for r in G.rows()]), _mat_conj_transpose(Q))
     D = [
         [two, zero, zero, zero],
         [zero, two, zero, zero],
         [zero, zero, eight, zero],
         [zero, zero, zero, eight],
     ]
-    return M == D
+    return _form_gram(G, Q) == D

@@ -15,7 +15,9 @@ starts from the reduction.  The reduction keeps only the transform U and the
 integral Gram-Schmidt data (d, lam) of the reduced basis; `lll_reduce` forms
 the reduced Gram on request, and a coset's residue in the reduced basis is
 one GF(2) solve against U.  Neither spends enumeration nodes, so neither
-counts against a budget.
+counts against a budget.  Every Gram matrix V^T G V of a list of vectors, the
+reduced Gram and the certificate checks alike, comes from `_gram_of`: one
+product G v per vector, then dot products.
 
 Enumeration walks a bounded search tree; every visited node counts against a
 caller-supplied node budget (default 10^9) and exhausting it raises
@@ -180,6 +182,14 @@ def _image(G: GramMatrix, v: Sequence[int]) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in G.gram)
 
 
+def _gram_of(G: GramMatrix, vectors: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
+    """V^T G V for the columns V = (v_1, ..., v_k): entry (i, j) is
+    v_i^T G v_j.  One product G v per vector, then one dot product per entry.
+    A vector whose length is not the rank raises ValueError."""
+    images = [_image(G, v) for v in vectors]
+    return tuple(tuple(sum(map(mul, u, gv)) for gv in images) for u in vectors)
+
+
 def direct_sum(G1: GramMatrix, G2: GramMatrix) -> GramMatrix:
     r1, r2 = G1.rank, G2.rank
     rows = []
@@ -325,11 +335,9 @@ def _lll_core(d, lam):
 
 def lll_reduce(G: GramMatrix):
     """LLL-reduce, returning (G', U) with U^T G U = G' and |det U| = 1.
-    G' is formed here, one product G u per reduced basis vector u."""
+    G' is formed here, as `_gram_of` the columns of U."""
     U = G._reduced()[0]
-    basis = list(zip(*U))
-    images = [_image(G, u) for u in basis]
-    return GramMatrix([[sum(map(mul, u, gv)) for gv in images] for u in basis]), U
+    return GramMatrix(_gram_of(G, list(zip(*U)))), U
 
 
 # -- enumeration --------------------------------------------------------------
@@ -391,8 +399,9 @@ def _enumerate(d, lam, U, parity: Sequence[int], step: int, bound: int, budget: 
     r = len(lam)
     M = lcm(*(d[j] * d[j + 1] for j in range(r)))
     W = [M // (d[j] * d[j + 1]) for j in range(r)]
-    # column j of lam, zero on rows <= j, where w is still 0 at level j
-    cols = [[lam[i][j] if i > j else 0 for i in range(r)] for j in range(r)]
+    # column j of lam: lam is zero on and above its diagonal, so the column
+    # is zero on rows <= j, where w is still 0 at level j
+    cols = list(zip(*lam))
     ucols = list(zip(*U))
     w = [0] * r
 

@@ -4,8 +4,9 @@ The two element types here are the coefficient rings for everything else in
 this package: ``LaurentPoly`` models Z[x, 1/x] with the involution x -> 1/x,
 and ``CyclicElement`` models the quotient Z[x, 1/x] / (x^n - 1), i.e. the
 group ring of a cyclic group of order n.  Both are immutable and exact, and
-their coefficients are Python integers: the constructors reject anything else.
-Arithmetic takes two elements of the same type; an int operand is a TypeError.
+their coefficients are Python integers: the constructors reject anything else,
+bools included.  Arithmetic takes two elements of the same type; an int operand
+is a TypeError.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ class LaurentPoly:
         clean: Dict[int, int] = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(e, int):
+                # an exact int passes on the first test, so rejecting bool
+                # costs nothing on the ring operations' own results
+                if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
                     raise ValueError("exponent must be an integer")
-                if not isinstance(c, int):
+                if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)):
                     raise ValueError("coefficient must be an integer")
                 if c != 0:
                     clean[e] = c
@@ -172,8 +175,8 @@ class CyclicElement:
         cs = tuple(coeffs)
         if len(cs) != n:
             raise ValueError(f"expected {n} coefficients, got {len(cs)}")
-        for c in cs:
-            if not isinstance(c, int):
+        for c in cs:  # as in LaurentPoly: exact ints pass on the first test
+            if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)):
                 raise ValueError("coefficient must be an integer")
         self._n = n
         self._coeffs = cs

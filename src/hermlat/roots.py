@@ -30,10 +30,9 @@ from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
     GramMatrix,
     _bareiss,
+    _gram_of,
     _image,
     enumerate_short,
-    inner,
-    norm,
 )
 from hermlat.ring import CyclicElement
 
@@ -94,16 +93,10 @@ def gamma_gram(rank: int) -> GramMatrix:
         row[i - 1] = 2
         row[i - 2] = -2
         basis2.append(row)
-    gram = []
-    for u in basis2:
-        grow = []
-        for v in basis2:
-            dot = sum(a * b for a, b in zip(u, v))
-            if dot % 4:
-                raise AssertionError("basis vectors must pair integrally")
-            grow.append(dot // 4)
-        gram.append(grow)
-    G = GramMatrix(gram)
+    gram4 = _gram_of(identity_gram(rank), basis2)
+    if any(dot % 4 for row in gram4 for dot in row):
+        raise AssertionError("basis vectors must pair integrally")
+    G = GramMatrix([[dot // 4 for dot in row] for row in gram4])
     if G.determinant() != 1:
         raise AssertionError("half-integer overlattice basis must have det 1")
     return G
@@ -218,21 +211,21 @@ def check_dynkin(
     """Do the vectors realize the Dynkin diagram of (typ, n)?
 
     All must have norm 2, and |(v_i, v_j)| must be 1 on diagram edges and 0
-    off them.  Absolute values make both edge-sign conventions acceptable:
-    the diagrams are trees, so sign flips of the vectors can realize either.
+    off them, both read off the Gram matrix of the vectors.  Absolute values
+    make both edge-sign conventions acceptable: the diagrams are trees, so
+    sign flips of the vectors can realize either.
     """
     if len(vectors) != n:
         raise ValueError(f"expected {n} vectors, got {len(vectors)}")
     edges = dynkin_edges(typ, n)
-    for v in vectors:
-        if norm(G, v) != 2:
-            return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            want = 1 if frozenset((i + 1, j + 1)) in edges else 0
-            if abs(inner(G, vectors[i], vectors[j])) != want:
-                return False
-    return True
+    gram = _gram_of(G, vectors)
+    if any(gram[i][i] != 2 for i in range(n)):
+        return False
+    return all(
+        abs(gram[i][j]) == (frozenset((i + 1, j + 1)) in edges)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
 
 
 # -- reference vectors in the modulus-4 transfer -------------------------------

@@ -18,7 +18,6 @@ from hermlat.charvec import (
     char_rep,
     char_witness,
     characteristic_defect,
-    _orthonormal_columns,
     check_orthonormal_certificate,
     defect_certificate_check,
     floor3_multiplier,
@@ -168,7 +167,8 @@ def test_is_standard_reuses_the_callers_report(vn):
 
 
 def test_orthonormal_certificate_checker(vn):
-    cert = _orthonormal_columns(vn(1), enumerate_short(vn(1), 1).pairs)
+    standard, cert = _standard(vn(1))
+    assert standard and cert["kind"] == "orthonormal_basis"
     assert check_orthonormal_certificate(vn(1), cert)
     bad = {"kind": "orthonormal_basis", "columns": [[1, 0, 0, 0]] * 4}
     assert not check_orthonormal_certificate(vn(1), bad)

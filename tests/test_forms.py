@@ -12,6 +12,7 @@ from oracles import (
     symbolic_family_det,
     sylvester_matrix,
 )
+from hermlat import forms
 from hermlat.forms import (
     _resultant,
     _ring_det,
@@ -203,6 +204,19 @@ def test_rational_congruence():
         parse_laurent("x^2 + 3 + x^-2"),
     ):
         assert rational_congruence_check(a)
+
+
+def test_rational_congruence_rejects_a_changed_form(monkeypatch):
+    # one more on entry (0, 0) keeps the form hermitian but moves
+    # Q G conj(Q)^T off diag(2, 2, 8, 8)
+    def shifted(a):
+        rows = [list(row) for row in build_form(a).rows()]
+        rows[0][0] = rows[0][0] + LaurentPoly.one()
+        return HermitianForm(rows)
+
+    monkeypatch.setattr(forms, "build_form", shifted)
+    for a in (t, LaurentPoly.zero(), sym_power(5)):
+        assert not rational_congruence_check(a)
 
 
 def test_form_json_round_trip():

@@ -4,8 +4,9 @@ Suites: ring homomorphism/involution laws, the mod-8 congruence for
 characteristic vectors, mu multiplicativity with defect additivity on direct
 sums, transfer symmetry/equivariance, the cyclic product `transfer_image`
 against the dense one, enumeration against brute force on small random
-lattices, and the standardness criterion defect = 0 iff a full set of unit
-vectors exists.
+lattices, the standardness criterion defect = 0 iff a full set of unit
+vectors exists, and the Gram matrices of vector lists over Z and over the
+Laurent ring against their entrywise pairings.
 """
 
 import random
@@ -19,10 +20,12 @@ from oracles import (
     brute_force_coset,
     brute_force_short,
     random_unimodular,
+    sesq_eval,
 )
 from hermlat.charvec import char_rep, is_characteristic, min_characteristic
 from hermlat.forms import (
     HermitianForm,
+    _form_gram,
     aug_form,
     build_form,
     reduce_form,
@@ -31,6 +34,7 @@ from hermlat.forms import (
 )
 from hermlat.lattice import (
     GramMatrix,
+    _gram_of,
     _image,
     direct_sum,
     enumerate_coset,
@@ -254,3 +258,66 @@ def test_standard_iff_full_unit_set(name, seed):
     # basis change is an isometry, so the invariants agree with the original
     base = min_characteristic(G)
     assert (rep.min_norm, rep.defect, rep.mu) == (base.min_norm, base.defect, base.mu)
+
+
+# -- suite 7: Gram matrices of vector lists ------------------------------------------
+
+
+@st.composite
+def symmetric_and_vectors(draw):
+    """(G, vectors): a symmetric integer G of rank 1..5, definite or not, and
+    0..5 vectors of its rank."""
+    r = draw(st.integers(1, 5))
+    g = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            g[i][j] = g[j][i] = draw(st.integers(-4, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=r, max_size=r).map(tuple)
+    return GramMatrix(g), draw(st.lists(vec, max_size=5))
+
+
+@SUITE
+@given(symmetric_and_vectors())
+def test_gram_of_matches_the_entrywise_pairing(case):
+    G, vectors = case
+    g, r = G.gram, G.rank
+    want = tuple(
+        tuple(sum(u[i] * g[i][j] * v[j] for i in range(r) for j in range(r)) for v in vectors)
+        for u in vectors
+    )
+    assert _gram_of(G, vectors) == want
+    for bad in ((0,) * (r + 1), (1,) * (r - 1)):
+        with pytest.raises(ValueError, match="vector length must match rank"):
+            _gram_of(G, [*vectors, bad])
+
+
+@st.composite
+def hermitian_and_vectors(draw):
+    """(F, vectors): a hermitian form over Z[x, 1/x] of size 1..4, the rank-4
+    family or one whose off-diagonal entries are not self-conjugate, and
+    0..4 vectors of Laurent polynomials of its size."""
+    laurent = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=3).map(LaurentPoly)
+    if draw(st.booleans()):
+        side = draw(st.dictionaries(st.integers(1, 3), st.integers(-2, 2), max_size=2))
+        const = draw(st.integers(-2, 2))
+        F = build_form(LaurentPoly({0: const, **side, **{-e: c for e, c in side.items()}}))
+    else:
+        m = draw(st.integers(1, 4))
+        rows = [[None] * m for _ in range(m)]
+        for i in range(m):
+            rows[i][i] = LaurentPoly.const(draw(st.integers(-3, 3)))
+            for j in range(i + 1, m):
+                rows[i][j] = draw(laurent)
+                rows[j][i] = rows[i][j].conj()
+        F = HermitianForm(rows)
+    vec = st.lists(laurent, min_size=F.size, max_size=F.size)
+    return F, draw(st.lists(vec, max_size=4))
+
+
+@SUITE
+@given(hermitian_and_vectors())
+def test_form_gram_matches_the_sesquilinear_pairing(case):
+    F, vectors = case
+    assert _form_gram(F, vectors) == [[sesq_eval(F, u, v) for v in vectors] for u in vectors]
+    with pytest.raises(ValueError):
+        _form_gram(F, [*vectors, [LaurentPoly.one()] * (F.size + 1)])

@@ -37,9 +37,13 @@ def test_zero_coefficients_dropped():
 
 
 def test_coefficients_must_be_integers():
-    for bad in (Fraction(1, 2), Fraction(2, 1), 0.5):
+    # bool is an int subclass, but True is no coefficient and no exponent:
+    # accepted, it would serialize as "True" or fail to load back
+    for bad in (Fraction(1, 2), Fraction(2, 1), 0.5, True, False):
         with pytest.raises(ValueError):
             LaurentPoly({0: bad})
+        with pytest.raises(ValueError):
+            LaurentPoly({bad: 3})
         with pytest.raises(ValueError):
             CyclicElement(2, [bad, 0])
 

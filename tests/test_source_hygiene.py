@@ -179,3 +179,18 @@ def test_public_names_are_read():
         and node.name not in read
     ]
     assert unread == []
+
+
+def test_pairings_outside_lattice_go_through_one_product():
+    # a Gram matrix of a vector list is lattice._gram_of, one product G v
+    # per vector; pairing loops over inner or norm repeat that product
+    calls = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in MODULES
+        if path.name != "lattice.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if name in ("inner", "norm")
+    ]
+    assert calls == []
