@@ -30,7 +30,6 @@ from hermlat.forms import (
     form_det,
     rational_congruence_check,
     reduce_form,
-    substitute_power,
     transfer,
     transfer_determinant,
     transfer_image,

@@ -13,8 +13,7 @@ minimizers, so no pass runs twice.  `is_standard` reads either report and
 enumerates nothing.  The module also provides the closed-form witness
 vectors for the rank-4 transfer family that certify nonstandardness
 without any enumeration, and one characteristic test read off the product
-G w, which comes from the dense Gram or, for a transfer, from the cyclic
-form itself (`transfer_image`), so the rank-4n Gram is never built.
+G w and the diagonal of G (`_norm_if_characteristic`).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from itertools import chain
 from operator import mul
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from hermlat.forms import CyclicForm, transfer_image
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
     GramMatrix,
@@ -64,15 +62,6 @@ def _norm_if_characteristic(
 def _characteristic_norm(G: GramMatrix, w: Sequence[int]) -> Optional[int]:
     """`_norm_if_characteristic` on a Gram, from one dense product G w."""
     return _norm_if_characteristic(_image(G, w), G.diagonal(), w)
-
-
-def _transfer_characteristic_norm(Gn: CyclicForm, w: Sequence[int]) -> Optional[int]:
-    """`_characteristic_norm(transfer(Gn), w)` without forming the transfer:
-    the product is `transfer_image(Gn, w)`, and diagonal entry i*n + j of the
-    transfer is the constant coefficient of Gn[i][i]."""
-    n = Gn.n
-    diagonal = [row[i].coeffs[0] for i, row in enumerate(Gn.rows()) for _ in range(n)]
-    return _norm_if_characteristic(transfer_image(Gn, w), diagonal, w)
 
 
 def is_characteristic(G: GramMatrix, w: Sequence[int]) -> bool:

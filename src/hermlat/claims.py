@@ -15,8 +15,12 @@ the root system names the lattice (`identify`, SPLAG ch. 16, Table 16.7).
 Claims on the moduli up to 30, and the multiplier claims at moduli up to 86,
 use closed-form witnesses that integer arithmetic re-checks instead, on the
 cyclic form (`_cyclic`) through `transfer_image`: no rank-4n Gram is built
-for them.  Only the enumeration claims (moduli up to --max-n) and the Dynkin
-check at modulus 4 form the dense transfer `_vn`.
+for them.  Their characteristic test, `_transfer_characteristic_norm`,
+reads charvec's one parity-and-norm rule off the product G w that
+`transfer_image` takes from the cyclic form itself, with the transfer's
+diagonal read off the form's.  Only the enumeration claims (moduli up to
+--max-n) and the Dynkin check at modulus 4 form the dense transfer `_vn`;
+that check's two D8 batches (`v4_root_batches`) are built here as well.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from hermlat.charvec import (
     CharReport,
     DefectReport,
-    _transfer_characteristic_norm,
+    _norm_if_characteristic,
     char_witness,
     characteristic_defect,
     check_orthonormal_certificate,
@@ -45,13 +49,15 @@ from hermlat.forms import (
     b_sequence,
     build_form,
     build_form_power,
+    flatten_vector,
     form_det,
     rational_congruence_check,
     reduce_form,
     transfer,
+    transfer_image,
 )
-from hermlat.lattice import GramMatrix, _gram_of, canonical_rep, direct_sum
-from hermlat.ring import LaurentPoly, format_laurent, sym_power
+from hermlat.lattice import GramMatrix, Vector, _gram_of, canonical_rep, direct_sum
+from hermlat.ring import CyclicElement, LaurentPoly, format_laurent, sym_power
 from hermlat.roots import (
     RootSystemReport,
     check_dynkin,
@@ -59,7 +65,6 @@ from hermlat.roots import (
     identify,
     identity_gram,
     root_system,
-    v4_root_batches,
 )
 
 Claim = Tuple[str, str, Any, Optional[Callable[[], Any]]]
@@ -105,6 +110,15 @@ def _roots(G: GramMatrix, budget: int) -> RootSystemReport:
 def _standard(G: GramMatrix, budget: int) -> dict:
     std, cert = is_standard(G, _defect(G, budget), _roots(G, budget).units)
     return {"standard": std, "certificate_ok": std and check_orthonormal_certificate(G, cert)}
+
+
+def _transfer_characteristic_norm(Gn: CyclicForm, w: Sequence[int]) -> Optional[int]:
+    """`_characteristic_norm(transfer(Gn), w)` without forming the transfer:
+    the product is `transfer_image(Gn, w)`, and diagonal entry i*n + j of the
+    transfer is the constant coefficient of Gn[i][i]."""
+    n = Gn.n
+    diagonal = [row[i].coeffs[0] for i, row in enumerate(Gn.rows()) for _ in range(n)]
+    return _norm_if_characteristic(transfer_image(Gn, w), diagonal, w)
 
 
 def _witness_holds(Gn: CyclicForm, w: Sequence[int], target: int) -> bool:
@@ -157,6 +171,37 @@ def _v3_minimizers(budget: int) -> dict:
         "mu": rep.mu,
         "minimizers_match": set(rep.minimizers) == expected,
     }
+
+
+def v4_root_batches() -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
+    """Two batches of 8 norm-2 vectors in the rank-16 transfer (modulus 4),
+    each realizing the D8 diagram, spanning mutually orthogonal copies.
+
+    The second batch is x times the first, coordinate-wise in the group ring.
+    """
+    n = 4
+    zero = CyclicElement.zero(n)
+
+    def mono(e: int) -> CyclicElement:
+        return CyclicElement.monomial(n, e)
+
+    one = mono(0)
+    x = mono(1)
+    x2 = mono(2)
+    ones_134 = one + x + mono(3)  # 1 + x + x^3
+    vs = [
+        [zero, zero, zero, x2],
+        [-x2, x2, x2, zero],
+        [zero, zero, x2, zero],
+        [x2, -one, zero, zero],
+        [one, -one, zero, zero],
+        [zero, zero, one, zero],
+        [-one, one, one, -one],
+        [-one, -one, ones_134, ones_134],
+    ]
+    batch1 = tuple(flatten_vector(v) for v in vs)
+    batch2 = tuple(flatten_vector([x * c for c in v]) for v in vs)
+    return batch1, batch2
 
 
 def _v4_dynkin() -> dict:

@@ -199,11 +199,6 @@ def build_form_power(k: int) -> HermitianForm:
     return build_form(sym_power(b_sequence(k)))
 
 
-def substitute_power(G: HermitianForm, d: int) -> HermitianForm:
-    """Apply x -> x^d to every entry."""
-    return HermitianForm([[e.substitute_power(d) for e in row] for row in G.rows()])
-
-
 def reduce_form(G: HermitianForm, n: int) -> CyclicForm:
     """Reduce every entry modulo x^n - 1."""
     return CyclicForm(n, [[e.reduce(n) for e in row] for row in G.rows()])

@@ -115,15 +115,6 @@ class LaurentPoly:
         """Augmentation: evaluate at x = 1."""
         return sum(self._terms.values())
 
-    def substitute_power(self, d: int) -> "LaurentPoly":
-        """Apply x -> x^d.  d may be negative; d = 0 is rejected."""
-        if d == 0:
-            raise ValueError("substitution x -> x^0 is not a ring map on Z[x,1/x]")
-        out: Dict[int, int] = {}
-        for e, c in self._terms.items():
-            out[e * d] = out.get(e * d, 0) + c
-        return LaurentPoly(out)
-
     def reduce(self, n: int) -> "CyclicElement":
         """Reduce modulo x^n - 1."""
         if n < 1:
@@ -144,13 +135,18 @@ class LaurentPoly:
             raise ValueError("a Laurent polynomial must be a JSON object")
         out: Dict[int, int] = {}
         for k, v in data.items():
+            # only the canonical decimal text str(e) names exponent e, so no
+            # two keys share an exponent: "01", "+1", "-0", " 2 ", "1_0" and
+            # non-ASCII digits are rejected
             try:
                 e = int(k)
             except (TypeError, ValueError):
                 raise ValueError(f"bad exponent key {k!r}") from None
+            if str(e) != k:
+                raise ValueError(f"bad exponent key {k!r}")
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"bad coefficient {v!r}")
-            out[e] = out.get(e, 0) + v
+            out[e] = v
         return cls(out)
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from operator import mul
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
-from hermlat.forms import flatten_vector
 from hermlat.lattice import (
     DEFAULT_NODE_BUDGET,
     GramMatrix,
@@ -34,7 +33,6 @@ from hermlat.lattice import (
     _image,
     enumerate_short,
 )
-from hermlat.ring import CyclicElement
 
 Vector = Tuple[int, ...]
 
@@ -226,40 +224,6 @@ def check_dynkin(
         for i in range(n)
         for j in range(i + 1, n)
     )
-
-
-# -- reference vectors in the modulus-4 transfer -------------------------------
-
-
-def v4_root_batches() -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
-    """Two batches of 8 norm-2 vectors in the rank-16 transfer (modulus 4),
-    each realizing the D8 diagram, spanning mutually orthogonal copies.
-
-    The second batch is x times the first, coordinate-wise in the group ring.
-    """
-    n = 4
-    zero = CyclicElement.zero(n)
-
-    def mono(e: int) -> CyclicElement:
-        return CyclicElement.monomial(n, e)
-
-    one = mono(0)
-    x = mono(1)
-    x2 = mono(2)
-    ones_134 = one + x + mono(3)  # 1 + x + x^3
-    vs = [
-        [zero, zero, zero, x2],
-        [-x2, x2, x2, zero],
-        [zero, zero, x2, zero],
-        [x2, -one, zero, zero],
-        [one, -one, zero, zero],
-        [zero, zero, one, zero],
-        [-one, one, one, -one],
-        [-one, -one, ones_134, ones_134],
-    ]
-    batch1 = tuple(flatten_vector(v) for v in vs)
-    batch2 = tuple(flatten_vector([x * c for c in v]) for v in vs)
-    return batch1, batch2
 
 
 # -- identification --------------------------------------------------------------

@@ -133,6 +133,8 @@ def test_transfer_large_modulus(tmp_path, capsys):
         ("analyze", [1]),
         ("transfer", {"size": 1, "entries": [[[1, 2]]]}),
         ("transfer", {"size": 0, "entries": []}),
+        # int() would read these keys as the hermitian 3 + x + 1/x + x^10 + x^-10
+        ("transfer", {"size": 1, "entries": [[{"0": 3, "01": 1, "-1": 1, "1_0": 1, "-10": 1}]]}),
     ],
 )
 def test_wrong_json_shape_is_a_parse_error(tmp_path, capsys, command, data):

@@ -27,7 +27,6 @@ from hermlat.forms import (
     power_exceeds,
     rational_congruence_check,
     reduce_form,
-    substitute_power,
     transfer,
     transfer_determinant,
 )
@@ -87,13 +86,6 @@ def test_power_family():
     assert build_form_power(1).rows()[0][0] == L.rows()[0][0]
     assert build_form_power(2).rows()[0][0] == build_form(sym_power(5)).rows()[0][0]
     assert build_form_power(3).rows()[3][3] == LaurentPoly.const(2)
-
-
-def test_substitute_power_on_form():
-    assert substitute_power(L, 1).rows()[0][0] == L.rows()[0][0]
-    F5 = substitute_power(L, 5)
-    assert F5.rows()[0][0] == LaurentPoly({0: 3, 5: 1, -5: 1, 10: 1, -10: 1})
-    assert F5.rows()[0][0] == build_form_power(2).rows()[0][0]
 
 
 def test_det_is_one():

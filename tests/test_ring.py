@@ -127,14 +127,6 @@ def test_cyclic_modulus_mismatch():
         CyclicElement.monomial(2, 1) * CyclicElement.monomial(3, 1)
 
 
-def test_substitute_power():
-    p = LaurentPoly({0: 3, 1: 1, -1: 1, 2: 1, -2: 1})
-    assert p.substitute_power(1) == p
-    assert p.substitute_power(5) == LaurentPoly({0: 3, 5: 1, -5: 1, 10: 1, -10: 1})
-    with pytest.raises(ValueError):
-        p.substitute_power(0)
-
-
 def test_sym_power():
     assert sym_power(3) == LaurentPoly({3: 1, -3: 1})
     assert sym_power(0) == LaurentPoly({0: 2})
@@ -169,3 +161,11 @@ def test_laurent_json_round_trip():
 def test_json_loaders_reject_non_objects(cls, data):
     with pytest.raises(ValueError):
         cls.from_json_dict(data)
+
+
+@pytest.mark.parametrize("key", ["1_0", " 2 ", "01", "-0", "+1", "\u0663"])
+def test_laurent_json_rejects_non_canonical_exponent_keys(key):
+    # an exponent is named only by its decimal text str(e); int() would read
+    # these keys as 10, 2, 1, 0, 1 and 3 and merge "01" with "1"
+    with pytest.raises(ValueError, match="bad exponent key"):
+        LaurentPoly.from_json_dict({key: 1, "1": 1})

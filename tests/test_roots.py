@@ -20,6 +20,7 @@ from oracles import (
     random_unimodular,
 )
 from hermlat.charvec import min_characteristic
+from hermlat.claims import v4_root_batches
 from hermlat.lattice import _bareiss, GramMatrix, direct_sum, enumerate_short, inner, norm
 from hermlat.roots import (
     check_dynkin,
@@ -28,7 +29,6 @@ from hermlat.roots import (
     identify,
     identity_gram,
     root_system,
-    v4_root_batches,
 )
 
 

@@ -1,11 +1,14 @@
 """Static checks over the package sources: unused imports, parameters and
-private definitions, bool mode flags, rationals and dataclasses, plus what
-importing the CLI loads."""
+private definitions, bool mode flags, rationals and dataclasses, which
+modules import the form layer, plus what importing the CLI loads and
+whether every hermlat name the benchmark reads exists."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import hermlat
@@ -44,10 +47,11 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def _importers(module: str):
-    """(file, line) of every import of the top-level module in the package."""
+def _importers(module: str, paths=MODULES):
+    """(file, line) of every import of the dotted module, or of a module
+    inside it, in the given package files."""
     offenders = []
-    for path in MODULES:
+    for path in paths:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -55,7 +59,7 @@ def _importers(module: str):
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == module for m in modules):
+            if any(m == module or m.startswith(module + ".") for m in modules):
                 offenders.append(f"{path.name}:{node.lineno}")
     return offenders
 
@@ -67,6 +71,53 @@ def test_no_module_imports_fractions():
 def test_no_module_imports_dataclasses():
     # dataclasses pulls in inspect, dis, ast and tokenize at start-up
     assert _importers("dataclasses") == []
+
+
+def test_generic_lattice_modules_do_not_import_the_form_layer():
+    # roots builds on lattice alone, and the V_n-specific vectors and the
+    # cyclic-form witness test live in claims, so no generic module reaches
+    # up into forms
+    package = Path(hermlat.__file__).parent
+    roots = [package / "roots.py"]
+    generic = [package / f"{name}.py" for name in ("ring", "lattice", "charvec", "roots")]
+    outside_lattice = [
+        line for line in _importers("hermlat", roots) if line not in _importers("hermlat.lattice", roots)
+    ]
+    assert outside_lattice + _importers("hermlat.forms", generic) == []
+
+
+def test_bench_imports_resolve():
+    # the benchmark imports hermlat names by module; a name that moves or
+    # disappears must fail here, not only when the benchmark runs
+    for path in MODULES:
+        if path.name != "__init__.py":
+            importlib.import_module(f"hermlat.{path.stem}")
+    bench = sorted((Path(hermlat.__file__).parents[2] / "bench").glob("*.py"))
+    missing = []
+    for path in bench:
+        tree = _tree(path)
+        bound = {}  # name -> the hermlat module bound to it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hermlat":
+                for alias in node.names:
+                    value = getattr(sys.modules.get(node.module), alias.name, None)
+                    if value is None:
+                        missing.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+                    elif isinstance(value, types.ModuleType):
+                        bound[alias.asname or alias.name] = value
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "hermlat" and alias.asname:
+                        bound[alias.asname] = sys.modules.get(alias.name)
+        missing += [
+            f"{path.name}:{n.lineno} {n.value.id}.{n.attr}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name)
+            and n.value.id in bound
+            and not hasattr(bound[n.value.id], n.attr)
+        ]
+    assert missing == []
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
