@@ -9,7 +9,6 @@ from hermlat.charvec import (
     CharReport,
     DefectReport,
     char_rep,
-    char_witness,
     characteristic_defect,
     defect_certificate_check,
     is_characteristic,

@@ -10,10 +10,10 @@ lazy passes that widen by 8 until one is nonempty: `characteristic_defect`
 takes that pass's first solution as the witness of the defect, and
 `min_characteristic` runs the same pass to its end for mu and the
 minimizers, so no pass runs twice.  `is_standard` reads either report and
-enumerates nothing.  The module also provides the closed-form witness
-vectors for the rank-4 transfer family that certify nonstandardness
-without any enumeration, and one characteristic test read off the product
-G w and the diagonal of G (`_norm_if_characteristic`).
+enumerates nothing.  The module also holds one characteristic test read off
+G w and the diagonal of G (`_norm_if_characteristic`), and the closed-form
+witnesses of the rank-4 transfer family, computed in the group ring of
+`hermlat.ring`, that certify nonstandardness without any enumeration.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from hermlat.lattice import (
     _gram_of,
     _image,
     _input_pairs,
+    _is_vector,
     _solve_mod2,
     canonical_rep,
 )
@@ -66,8 +67,9 @@ def _characteristic_norm(G: GramMatrix, w: Sequence[int]) -> Optional[int]:
 
 def is_characteristic(G: GramMatrix, w: Sequence[int]) -> bool:
     """(w, e_i) = (e_i, e_i) mod 2 on all basis vectors (sufficient by
-    bilinearity), from one product G w."""
-    return _characteristic_norm(G, w) is not None
+    bilinearity), from one product G w.  False when w is not a vector of
+    G's lattice (`_is_vector`)."""
+    return _is_vector(G, w) and _characteristic_norm(G, w) is not None
 
 
 class DefectReport(NamedTuple):
@@ -192,12 +194,12 @@ def is_standard(
 
 
 def check_orthonormal_certificate(G: GramMatrix, cert: dict) -> bool:
-    """Whether the certificate lists rank columns U with U^T G U = I."""
+    """Whether the certificate lists rank lattice vectors U with U^T G U = I."""
     if cert.get("kind") != "orthonormal_basis":
         return False
     cols = cert.get("columns")
     r = G.rank
-    if not isinstance(cols, list) or len(cols) != r:
+    if not isinstance(cols, list) or len(cols) != r or not all(_is_vector(G, c) for c in cols):
         return False
     return _gram_of(G, cols) == tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
 
@@ -205,8 +207,8 @@ def check_orthonormal_certificate(G: GramMatrix, cert: dict) -> bool:
 def defect_certificate_check(G: GramMatrix, w: Sequence[int], d: int) -> bool:
     """True iff w certifies defect >= d: characteristic with
     |w|^2 <= rank - 8d.  One product G w gives both tests: quadratic time,
-    no enumeration."""
-    if len(w) != G.rank:
+    no enumeration.  False when w is not a vector of G's lattice."""
+    if not _is_vector(G, w):
         return False
     nw = _characteristic_norm(G, w)
     return nw is not None and nw <= G.rank - 8 * d
@@ -216,59 +218,28 @@ def defect_certificate_check(G: GramMatrix, w: Sequence[int], d: int) -> bool:
 #
 # In the rank 4n transfer the basis is x^j e_i at flat index i*n + j.  The
 # distinguished characteristic vector is w = N (e_3 + e_4) where N is the
-# norm element, i.e. all-ones on the last two blocks, and |w|^2 = 4n.
-
-
-def char_witness(n: int) -> Vector:
-    """w = N (e_3 + e_4) in transfer coordinates; characteristic, norm 4n.
-    It is the witness vector of the zero multiplier."""
-    return witness_vector(n, ())
-
-
-def fold_coeffs(n: int, a_coeffs: Sequence[int]) -> List[int]:
-    """Coefficients of a(x) = a_0 + a_1 x + ... reduced mod x^n - 1.
-    Raises ValueError for n < 1, and so do the witness helpers below."""
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    out = [0] * n
-    for j, aj in enumerate(a_coeffs):
-        out[j % n] += aj
-    return out
+# norm element, i.e. all-ones on the last two blocks, and |w|^2 = 4n; it is
+# the witness vector of the zero multiplier.  A multiplier a_0 + a_1 x + ...
+# is read as a LaurentPoly and reduced mod x^n - 1 in the group ring.
 
 
 def witness_vector(n: int, a_coeffs: Sequence[int]) -> Vector:
-    """w - 2 a(x) e_1 in transfer coordinates."""
-    folded = fold_coeffs(n, a_coeffs)
-    return tuple([-2 * c for c in folded] + [0] * n + [1] * (2 * n))
-
-
-def autocorrelation(n: int, a_coeffs: Sequence[int], i: int) -> int:
-    """a^i = sum_j a_j a_{(j+i) mod n}, the cyclic shifted dot product."""
-    f = fold_coeffs(n, a_coeffs)
-    return sum(f[j] * f[(j + i) % n] for j in range(n))
+    """w - 2 a(x) e_1 in transfer coordinates, with a(x) reduced mod x^n - 1.
+    Raises ValueError for n < 1 or a coefficient that is not an int."""
+    r = LaurentPoly(dict(enumerate(a_coeffs))).reduce(n)
+    return tuple([-2 * c for c in r.coeffs] + [0] * n + [1] * (2 * n))
 
 
 def wa_norm(n: int, a_coeffs: Sequence[int]) -> int:
     """Closed-form |w - 2 a(x) e_1|^2 = 4n - 4 (5 a(1) - 3 a^0 - 2 (a^1 + a^2)).
 
-    Valid for every n >= 1 with cyclic autocorrelations; must agree with the
+    With a reduced mod x^n - 1, a^i = sum_j a_j a_{j+i} is the coefficient of
+    x^i in a * conj(a), so it holds for every n >= 1; it must agree with the
     direct Gram evaluation on the transfer.
     """
-    a1 = sum(a_coeffs)
-    a_0 = autocorrelation(n, a_coeffs, 0)
-    a_1 = autocorrelation(n, a_coeffs, 1)
-    a_2 = autocorrelation(n, a_coeffs, 2)
-    return 4 * n - 4 * (5 * a1 - 3 * a_0 - 2 * (a_1 + a_2))
-
-
-def floor3_multiplier(n: int) -> List[int]:
-    """a(x) = 1 + x^3 + x^6 + ... with floor(n/3) terms; the multiplier whose
-    witness has norm 4n - 8 floor(n/3)."""
-    q = n // 3
-    out = [0] * max(1, 3 * (q - 1) + 1)
-    for i in range(q):
-        out[3 * i] = 1
-    return out
+    r = LaurentPoly(dict(enumerate(a_coeffs))).reduce(n)
+    aa = r * r.conj()
+    return 4 * n - 4 * (5 * r.aug() - 3 * aa.coeff(0) - 2 * (aa.coeff(1) + aa.coeff(2)))
 
 
 def specific_criterion(

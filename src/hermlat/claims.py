@@ -8,10 +8,12 @@ expected, run) tuple per claim; a claim passes when `run()` equals
 Every claim about a lattice reads reports computed once per lattice and
 budget: `_defect` (the defect, from the search that stops at its first
 minimal characteristic vector), `_char` (all minimal characteristic
-vectors, for mu and the minimizers) and `_roots` (the root system).
-Standardness and names are pure checks on those reports: the defect
-decides standardness (Elkies, Math. Res. Lett. 2, 1995), and up to rank 16
-the root system names the lattice (`identify`, SPLAG ch. 16, Table 16.7).
+vectors, for mu and the minimizers) and `_roots` (the root system).  The
+lattices are built once as well (`_vn`, `_gamma`), so each is swept and
+LLL-reduced once.  Standardness and names are pure checks on those
+reports: the defect decides standardness (Elkies, Math. Res. Lett. 2,
+1995), and up to rank 16 the root system names the lattice (`identify`,
+SPLAG ch. 16, Table 16.7).
 Claims on the moduli up to 30, and the multiplier claims at moduli up to 86,
 use closed-form witnesses that integer arithmetic re-checks instead, on the
 cyclic form (`_cyclic`) through `transfer_image`: no rank-4n Gram is built
@@ -32,10 +34,8 @@ from hermlat.charvec import (
     CharReport,
     DefectReport,
     _norm_if_characteristic,
-    char_witness,
     characteristic_defect,
     check_orthonormal_certificate,
-    floor3_multiplier,
     is_standard,
     min_characteristic,
     specific_criterion,
@@ -87,6 +87,12 @@ def _cyclic(b: int, n: int) -> CyclicForm:
 def _vn(n: int) -> GramMatrix:
     """Transfer of the first-power form at modulus n (rank 4n)."""
     return transfer(_cyclic(1, n))
+
+
+@lru_cache(maxsize=None)
+def _gamma(rank: int) -> GramMatrix:
+    """`gamma_gram(rank)`, built once, so it is swept and reduced once."""
+    return gamma_gram(rank)
 
 
 @lru_cache(maxsize=None)
@@ -144,11 +150,21 @@ def _range_claim(
 
 
 def _char_witness_norm(n: int) -> bool:
-    return _transfer_characteristic_norm(_cyclic(1, n), char_witness(n)) == 4 * n
+    return _transfer_characteristic_norm(_cyclic(1, n), witness_vector(n, ())) == 4 * n
+
+
+def _floor3_multiplier(n: int) -> List[int]:
+    """a(x) = 1 + x^3 + x^6 + ... with floor(n/3) terms; the multiplier whose
+    witness has norm 4n - 8 floor(n/3)."""
+    q = n // 3
+    out = [0] * max(1, 3 * (q - 1) + 1)
+    for i in range(q):
+        out[3 * i] = 1
+    return out
 
 
 def _floor3_witness(n: int) -> bool:
-    a = floor3_multiplier(n)
+    a = _floor3_multiplier(n)
     target = 4 * n - 8 * (n // 3)
     return wa_norm(n, a) == target and _witness_holds(
         _cyclic(1, n), witness_vector(n, a), target
@@ -157,7 +173,7 @@ def _floor3_witness(n: int) -> bool:
 
 def _v3_minimizers(budget: int) -> dict:
     # the twelve +/- classes w - 2 x^i e with e one of e1, e2, e1+e4, e2+e3
-    w = char_witness(3)
+    w = witness_vector(3, ())
     expected = set()
     for i in range(3):
         for mods in ((0,), (1,), (0, 3), (1, 2)):
@@ -346,7 +362,7 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
             "mu-e8-plus-i4",
             "minimal characteristic count of the rank-8 even lattice plus I4",
             16,
-            lambda: _char(direct_sum(gamma_gram(8), identity_gram(4)), budget).mu,
+            lambda: _char(direct_sum(_gamma(8), identity_gram(4)), budget).mu,
         ),
         (
             "thm-smalln-v4-dynkin",
@@ -374,26 +390,26 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
             "defect of the half-integer overlattices of ranks 4,8,12,16",
             [0, 1, 1, 2],
             lambda: [
-                _defect(gamma_gram(4 * m), budget).defect for m in (1, 2, 3, 4)
+                _defect(_gamma(4 * m), budget).defect for m in (1, 2, 3, 4)
             ],
         ),
         (
             "catalog-mu-gamma12",
             "minimal characteristic count of the rank-12 overlattice",
             24,
-            lambda: _char(gamma_gram(12), budget).mu,
+            lambda: _char(_gamma(12), budget).mu,
         ),
         (
             "catalog-mu-gamma8",
             "minimal characteristic count of the rank-8 overlattice",
             1,
-            lambda: _char(gamma_gram(8), budget).mu,
+            lambda: _char(_gamma(8), budget).mu,
         ),
         (
             "catalog-gamma4-standard",
             "the rank-4 overlattice is standard",
             standard,
-            lambda: _standard(gamma_gram(4), budget),
+            lambda: _standard(_gamma(4), budget),
         ),
         (
             "lemma-rational-congruence",

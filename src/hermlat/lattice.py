@@ -58,6 +58,12 @@ def _int_type(t: type) -> bool:
     return issubclass(t, int) and t is not bool
 
 
+def _is_vector(G: GramMatrix, v) -> bool:
+    """Whether v is a vector of G's lattice: a list or tuple of G.rank ints,
+    bools excluded.  The certificate checks reject anything else."""
+    return isinstance(v, (list, tuple)) and len(v) == G.rank and all(map(_int_type, map(type, v)))
+
+
 class GramMatrix:
     """Symmetric integer matrix, the Gram matrix of a based lattice.
 

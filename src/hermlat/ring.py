@@ -118,7 +118,7 @@ class LaurentPoly:
     def reduce(self, n: int) -> "CyclicElement":
         """Reduce modulo x^n - 1."""
         if n < 1:
-            raise ValueError("modulus must be a positive integer")
+            raise ValueError("modulus must be >= 1")
         coeffs = [0] * n
         for e, c in self._terms.items():
             coeffs[e % n] += c
@@ -167,7 +167,7 @@ class CyclicElement:
 
     def __init__(self, n: int, coeffs: Iterable[int]):
         if n < 1:
-            raise ValueError("modulus must be a positive integer")
+            raise ValueError("modulus must be >= 1")
         cs = tuple(coeffs)
         if len(cs) != n:
             raise ValueError(f"expected {n} coefficients, got {len(cs)}")

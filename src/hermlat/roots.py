@@ -31,6 +31,7 @@ from hermlat.lattice import (
     _bareiss,
     _gram_of,
     _image,
+    _is_vector,
     enumerate_short,
 )
 
@@ -211,11 +212,14 @@ def check_dynkin(
     All must have norm 2, and |(v_i, v_j)| must be 1 on diagram edges and 0
     off them, both read off the Gram matrix of the vectors.  Absolute values
     make both edge-sign conventions acceptable: the diagrams are trees, so
-    sign flips of the vectors can realize either.
+    sign flips of the vectors can realize either.  False when a vector is
+    not a vector of G's lattice (`_is_vector`).
     """
     if len(vectors) != n:
         raise ValueError(f"expected {n} vectors, got {len(vectors)}")
     edges = dynkin_edges(typ, n)
+    if not all(_is_vector(G, v) for v in vectors):
+        return False
     gram = _gram_of(G, vectors)
     if any(gram[i][i] != 2 for i in range(n)):
         return False

@@ -6,6 +6,7 @@ Run with -v to get one pass/fail line per criterion.  Budgets are
 wall-clock seconds on a single core; every mathematical check is exact.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -130,3 +131,30 @@ def test_criterion_10_property_suites():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert time.monotonic() - t0 < 300
+
+
+def test_verify_paper_reduces_each_lattice_once():
+    # a spy on the Gram sweep and the LLL core during one fresh verify-paper
+    # run: no Gram is swept twice and no Gram-Schmidt data is reduced twice
+    code = """
+import contextlib, io
+from hermlat import cli, lattice
+sweeps, reductions = [], []
+bareiss, lll_core = lattice._bareiss, lattice._lll_core
+def sweep(rows):
+    sweeps.append(rows)
+    return bareiss(rows)
+def lll(d, lam):
+    reductions.append((d, lam))
+    return lll_core(d, lam)
+lattice._bareiss, lattice._lll_core = sweep, lll
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify-paper", "--max-n", "5"]) == 0
+print(len(sweeps), len(set(sweeps)), len(reductions), len(set(reductions)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(claims.__file__).parents[1])},
+    )
+    sweeps, distinct_sweeps, reductions, distinct_reductions = map(int, proc.stdout.split())
+    assert sweeps == distinct_sweeps and reductions == distinct_reductions

@@ -1,6 +1,7 @@
 """Characteristic vectors, defect, standardness certificates, witness family."""
 
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +15,10 @@ from oracles import (
     random_unimodular,
 )
 from hermlat.charvec import (
-    autocorrelation,
     char_rep,
-    char_witness,
     characteristic_defect,
     check_orthonormal_certificate,
     defect_certificate_check,
-    floor3_multiplier,
-    fold_coeffs,
     is_characteristic,
     is_standard,
     min_characteristic,
@@ -31,7 +28,7 @@ from hermlat.charvec import (
 )
 from hermlat.forms import build_form_power, reduce_form
 from hermlat.lattice import GramMatrix, direct_sum, enumerate_short, norm
-from hermlat.claims import _witness_holds
+from hermlat.claims import _floor3_multiplier, _witness_holds
 from hermlat.ring import LaurentPoly, sym_power
 from hermlat.roots import gamma_gram, identity_gram, root_system
 
@@ -45,7 +42,7 @@ def test_char_rep_examples(vn):
     assert char_rep(gamma_gram(8)) == (0,) * 8
     for n in (1, 2, 3, 4):
         c = char_rep(vn(n))
-        w = char_witness(n)
+        w = witness_vector(n, ())
         assert all((a - b) % 2 == 0 for a, b in zip(c, w))
 
 
@@ -64,7 +61,7 @@ def test_min_characteristic_rejects_non_unimodular():
 
 def test_is_characteristic(vn):
     V3 = vn(3)
-    w = char_witness(3)
+    w = witness_vector(3, ())
     assert is_characteristic(V3, w)
     w1 = list(w)
     w1[0] -= 2
@@ -87,7 +84,7 @@ def test_min_characteristic_v3(vn):
     rep = min_characteristic(vn(3))
     assert rep.min_norm == 4 and rep.mu == 24 and rep.defect == 1
     expected = set()
-    w = char_witness(3)
+    w = witness_vector(3, ())
     for i in range(3):
         for mods in ((0,), (1,), (0, 3), (1, 2)):
             v = list(w)
@@ -175,9 +172,31 @@ def test_orthonormal_certificate_checker(vn):
     assert not check_orthonormal_certificate(vn(1), {"kind": "other"})
 
 
+def test_orthonormal_certificate_needs_lattice_columns():
+    # the halved Hadamard matrix is orthonormal in Q^4 but not in Z^4
+    h = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    halved = [[c / 2 for c in col] for col in h]
+    assert all(sum(map(mul, u, v)) == (u is v) for u in halved for v in halved)
+    unit = [[int(i == j) for j in range(4)] for i in range(4)]
+    for cols in (halved, unit[:3] + [[0, 0, 1]], unit[:3] + [[0, 0, 0, "1"]], unit[:3] + [None]):
+        cert = {"kind": "orthonormal_basis", "columns": cols}
+        assert check_orthonormal_certificate(identity_gram(4), cert) is False
+
+
+@pytest.mark.parametrize(
+    "w",
+    [(1.0, 1, 1, 1), (True, True, True, True), "1111", None],
+    ids=["float", "bool", "str", "none"],
+)
+def test_characteristic_checks_need_lattice_vectors(w):
+    G = identity_gram(4)
+    assert is_characteristic(G, w) is False
+    assert defect_certificate_check(G, w, 0) is False
+
+
 def test_defect_certificate_examples(vn):
     V6 = vn(6)
-    w0 = witness_vector(6, floor3_multiplier(6))
+    w0 = witness_vector(6, _floor3_multiplier(6))
     assert defect_certificate_check(V6, w0, 2)
     assert defect_certificate_check(vn(3), witness_vector(3, (1,)), 1)
     assert not defect_certificate_check(identity_gram(4), (1, 1, 1, 1), 1)
@@ -188,9 +207,9 @@ def _witness_cases(n):
     """(witness, target norm) at modulus n: the norm-element witness, w - 2 e_1
     and the floor(n/3) witness, and copies of each with one coordinate moved
     by +-1 (no longer characteristic) or +-2 (characteristic, another norm)."""
-    a3 = floor3_multiplier(n)
+    a3 = _floor3_multiplier(n)
     bases = [
-        (char_witness(n), 4 * n),
+        (witness_vector(n, ()), 4 * n),
         (witness_vector(n, (1,)), 4 * n - 8),
         (witness_vector(n, a3), wa_norm(n, a3)),
     ]
@@ -220,21 +239,17 @@ def test_witness_checks_match_entrywise_definitions(vn):
 
 
 def test_char_witness_shape():
-    assert char_witness(3) == (0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
+    # the norm-element witness N (e_3 + e_4) is the zero multiplier's
+    assert witness_vector(3, ()) == (0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
-        char_witness(0)
+        witness_vector(0, ())
 
 
 @pytest.mark.parametrize("n", [0, -2])
 @pytest.mark.parametrize(
     "call",
-    [
-        char_witness,
-        lambda n: witness_vector(n, (1,)),
-        lambda n: autocorrelation(n, (1, 1), 1),
-        lambda n: wa_norm(n, (1,)),
-    ],
-    ids=["char_witness", "witness_vector", "autocorrelation", "wa_norm"],
+    [lambda n: witness_vector(n, (1,)), lambda n: wa_norm(n, (1,))],
+    ids=["witness_vector", "wa_norm"],
 )
 def test_witness_helpers_reject_moduli_below_one(call, n):
     with pytest.raises(ValueError, match="modulus must be >= 1"):
@@ -242,13 +257,21 @@ def test_witness_helpers_reject_moduli_below_one(call, n):
 
 
 def test_witness_vector_and_fold():
-    assert fold_coeffs(3, (1, 0, 0, 2)) == [3, 0, 0]
+    # a(x) is reduced mod x^n - 1: 1 + 2 x^3 folds to 3 at modulus 3
+    assert witness_vector(3, (1, 0, 0, 2)) == (-6, 0, 0) + (0,) * 3 + (1,) * 6
     assert witness_vector(2, (1,)) == (-2, 0, 0, 0, 1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("a", [(1.5,), (True,), (1, "2")])
+def test_witness_helpers_reject_non_integer_coefficients(a):
+    for call in (witness_vector, wa_norm):
+        with pytest.raises(ValueError, match="coefficient must be an integer"):
+            call(4, a)
+
+
 def test_wa_norm_closed_form(vn):
-    # the 4n-8 identity needs n >= 3: below that the cyclic autocorrelations
-    # of the constant multiplier wrap around (checked against direct norms)
+    # the 4n-8 identity needs n >= 3: below that a^1 and a^2 of the constant
+    # multiplier wrap around mod x^n - 1 (checked against direct norms)
     for n in (3, 5, 9, 12):
         assert wa_norm(n, (1,)) == 4 * n - 8
     for n in (1, 2, 3, 5, 9, 12):
@@ -262,6 +285,8 @@ def test_wa_norm_closed_form(vn):
 def test_wa_norm_matches_direct_eval(vn):
     # the closed form against honest Gram arithmetic, several multipliers
     cases = [(3, (1,)), (4, (1, 2)), (5, (0, 1, 1)), (6, (1, 0, 0, 1)), (2, (1, 1))]
+    # these wrap: a is longer than n, and at n = 1, 2 the exponents of a^1, a^2 fold
+    cases += [(3, (1, -2, 0, 1, 2)), (1, (1, 2, -1)), (2, (0, 1, -1, 2))]
     for n, a in cases:
         G = vn(n)
         assert norm(G, witness_vector(n, a)) == wa_norm(n, a)
@@ -269,9 +294,9 @@ def test_wa_norm_matches_direct_eval(vn):
 
 
 def test_floor3_multiplier():
-    assert floor3_multiplier(6) == [1, 0, 0, 1]
-    assert floor3_multiplier(9) == [1, 0, 0, 1, 0, 0, 1]
-    assert floor3_multiplier(2) == [0]
+    assert _floor3_multiplier(6) == [1, 0, 0, 1]
+    assert _floor3_multiplier(9) == [1, 0, 0, 1, 0, 0, 1]
+    assert _floor3_multiplier(2) == [0]
 
 
 def test_specific_criterion_examples():

@@ -196,6 +196,18 @@ def test_check_dynkin_negative():
         check_dynkin(G, vecs[:2], "A", 3)
 
 
+def test_check_dynkin_needs_lattice_vectors():
+    # an E8 diagram whose one half-integer root is not in Z^8, whose roots
+    # form only D8
+    half = (0.5, -0.5, -0.5, -0.5, -0.5, -0.5, -0.5, 0.5)
+    path = [tuple(int(j == i + 1) - int(j == i) for j in range(8)) for i in range(5, -1, -1)]
+    vecs = path + [half, (1, 1, 0, 0, 0, 0, 0, 0)]
+    assert path[0] == (0, 0, 0, 0, 0, -1, 1, 0) and path[5] == (-1, 1, 0, 0, 0, 0, 0, 0)
+    assert not check_dynkin(identity_gram(8), vecs, "E", 8)
+    assert not check_dynkin(identity_gram(2), [(True, True)], "A", 1)
+    assert not check_dynkin(identity_gram(2), [[1, 1, 0]], "A", 1)
+
+
 def test_check_dynkin_single_root():
     assert check_dynkin(identity_gram(2), [(1, 1)], "A", 1)
     assert not check_dynkin(identity_gram(2), [(1, 0)], "A", 1)
