@@ -237,6 +237,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
     if args.budget < 0:
         raise CLIError(EXIT_DOMAIN, "budget must be >= 0")
+    if args.max_n < 0:
+        raise CLIError(EXIT_DOMAIN, "max-n must be >= 0")
     records = []
     for claim_id, location, expected, run in _claim_list(args.max_n, args.budget):
         t0 = time.monotonic()
@@ -317,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_vp = sub.add_parser("verify-paper", help="run the reproduction claim list")
     p_vp.add_argument("--max-n", dest="max_n", type=int, default=5,
-                      help="largest modulus for exact-defect enumeration (default 5)")
+                      help="largest modulus for exact-defect enumeration, >= 0 (default 5)")
     p_vp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="enumeration node budget")
     p_vp.add_argument("--format", choices=("text", "json"), default="text")
     p_vp.set_defaults(func=_cmd_verify_paper)

@@ -1,8 +1,10 @@
 """Hermitian forms over the Laurent ring and over cyclic group rings.
 
 A form is a square matrix G with entries in Z[x,1/x] (``HermitianForm``) or in
-Z[x,1/x]/(x^n - 1) (``CyclicForm``) satisfying G[j][i] = conj(G[i][j]).  The
-pairing convention throughout is
+Z[x,1/x]/(x^n - 1) (``CyclicForm``) satisfying G[j][i] = conj(G[i][j]).  Both
+types validate that once, in their private base ``_Form``, which also owns
+their size, rows and equality; a form file is read by `lattice._json_square`,
+the reader of the Gram files too.  The pairing convention throughout is
 
     <u, v> = sum_ij u_i * G[i][j] * conj(v_j)
 
@@ -35,16 +37,19 @@ from math import gcd
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from hermlat.lattice import GramMatrix
+from hermlat.lattice import GramMatrix, _json_square
 from hermlat.ring import CyclicElement, LaurentPoly, sym_power
 
 
-class HermitianForm:
-    """Square matrix over Z[x,1/x] with G[j][i] = conj(G[i][j])."""
+class _Form:
+    """The validation, size, rows and equality of both form types.  In row
+    order over the upper triangle, each entry must pass the subclass's
+    `_entry_ok` (else ValueError(`_entry_error`)) and its mirror must be its
+    conjugate, which a bad lower entry fails."""
 
-    __slots__ = ("_size", "_entries")
+    __slots__ = ("_entries",)
 
-    def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
+    def __init__(self, entries: Sequence[Sequence]):
         rows = tuple(tuple(row) for row in entries)
         m = len(rows)
         if m < 1:
@@ -53,93 +58,69 @@ class HermitianForm:
             raise ValueError("entries must form a square matrix")
         for i in range(m):
             for j in range(i, m):
-                if not isinstance(rows[i][j], LaurentPoly):
-                    raise ValueError("entries must be LaurentPoly")
+                if not self._entry_ok(rows[i][j]):
+                    raise ValueError(self._entry_error)
                 if rows[j][i] != rows[i][j].conj():
                     raise ValueError(f"not hermitian at ({i},{j})")
-        self._size = m
         self._entries = rows
 
     @property
     def size(self) -> int:
-        return self._size
+        return len(self._entries)
 
-    def rows(self) -> Tuple[Tuple[LaurentPoly, ...], ...]:
+    def rows(self) -> Tuple[Tuple, ...]:
         return self._entries
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, HermitianForm):
+        # equal cyclic entries share their modulus, so no separate n test
+        if type(other) is not type(self):
             return NotImplemented
         return self._entries == other._entries
 
+
+class HermitianForm(_Form):
+    """Square matrix over Z[x,1/x] with G[j][i] = conj(G[i][j])."""
+
+    __slots__ = ()
+    _entry_error = "entries must be LaurentPoly"
+
+    def _entry_ok(self, e) -> bool:
+        return isinstance(e, LaurentPoly)
+
     def __repr__(self) -> str:
-        return f"HermitianForm(size={self._size})"
+        return f"HermitianForm(size={self.size})"
 
     def to_json_dict(self) -> dict:
         return {
-            "size": self._size,
+            "size": self.size,
             "entries": [[e.to_json_dict() for e in row] for row in self._entries],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HermitianForm":
-        if not isinstance(data, dict):
-            raise ValueError("a form must be a JSON object")
-        size = data.get("size")
-        entries = data.get("entries")
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise ValueError("bad size")
-        if not isinstance(entries, list) or len(entries) != size:
-            raise ValueError("bad entries")
-        rows = []
-        for row in entries:
-            if not isinstance(row, list) or len(row) != size:
-                raise ValueError("bad entries")
-            rows.append([LaurentPoly.from_json_dict(e) for e in row])
-        return cls(rows)
+        rows = _json_square(data, "size", "entries")
+        return cls([list(map(LaurentPoly.from_json_dict, row)) for row in rows])
 
 
-class CyclicForm:
+class CyclicForm(_Form):
     """Square hermitian matrix over the modulus-n group ring."""
 
-    __slots__ = ("_size", "_n", "_entries")
+    __slots__ = ("_n",)
+    _entry_error = "entries must share the stated modulus"
 
     def __init__(self, n: int, entries: Sequence[Sequence[CyclicElement]]):
-        rows = tuple(tuple(row) for row in entries)
-        m = len(rows)
-        if m < 1:
-            raise ValueError("size must be positive")
-        if any(len(row) != m for row in rows):
-            raise ValueError("entries must form a square matrix")
-        for i in range(m):
-            for j in range(m):
-                e = rows[i][j]
-                if not isinstance(e, CyclicElement) or e.n != n:
-                    raise ValueError("entries must share the stated modulus")
-                if j >= i and rows[j][i] != e.conj():
-                    raise ValueError(f"not hermitian at ({i},{j})")
-        self._size = m
         self._n = n
-        self._entries = rows
+        super().__init__(entries)
 
-    @property
-    def size(self) -> int:
-        return self._size
+    def _entry_ok(self, e) -> bool:
+        return isinstance(e, CyclicElement) and e.n == self._n
 
     @property
     def n(self) -> int:
         return self._n
 
-    def rows(self) -> Tuple[Tuple[CyclicElement, ...], ...]:
-        return self._entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclicForm):
-            return NotImplemented
-        return self._n == other._n and self._entries == other._entries
-
     def __repr__(self) -> str:
-        return f"CyclicForm(size={self._size}, n={self._n})"
+        return f"CyclicForm(size={self.size}, n={self._n})"
 
     def is_constant(self) -> bool:
         """True when every entry lies in Z*1, i.e. the form is extended from

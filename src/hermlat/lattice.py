@@ -17,7 +17,8 @@ the reduced Gram on request, and a coset's residue in the reduced basis is
 one GF(2) solve against U.  Neither spends enumeration nodes, so neither
 counts against a budget.  Every Gram matrix V^T G V of a list of vectors, the
 reduced Gram and the certificate checks alike, comes from `_gram_of`: one
-product G v per vector, then dot products.
+product G v per vector, then dot products.  The Gram and the form files
+share one reader of their JSON shape, `_json_square`.
 
 Enumeration walks a bounded search tree; every visited node counts against a
 caller-supplied node budget (default 10^9) and exhausting it raises
@@ -38,6 +39,8 @@ from math import isqrt, lcm
 from operator import eq, mul
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from hermlat.ring import _int_type
+
 DEFAULT_NODE_BUDGET = 10**9
 
 Vector = Tuple[int, ...]
@@ -51,11 +54,6 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"enumeration budget exhausted ({nodes} > {budget} nodes)")
         self.nodes = nodes
         self.budget = budget
-
-
-def _int_type(t: type) -> bool:
-    """Whether entries of type t are integers: int and its subclasses, not bool."""
-    return issubclass(t, int) and t is not bool
 
 
 def _is_vector(G: GramMatrix, v) -> bool:
@@ -156,15 +154,24 @@ class GramMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GramMatrix":
-        if not isinstance(data, dict):
-            raise ValueError("a Gram matrix must be a JSON object")
-        rank = data.get("rank")
-        gram = data.get("gram")
-        if not isinstance(rank, int) or isinstance(rank, bool):
-            raise ValueError("bad rank")
-        if not isinstance(gram, list) or len(gram) != rank:
-            raise ValueError("rank does not match gram size")
-        return cls(gram)
+        return cls(_json_square(data, "rank", "gram"))
+
+
+def _json_square(data, size_key: str, rows_key: str) -> list:
+    """The rows of a JSON object {size_key: m, rows_key: [m lists of m
+    entries]}, the shape of both the Gram and the form files.  Anything else
+    raises ValueError naming that shape; checking the entries is the
+    caller's job."""
+    shape = f'{{"{size_key}": m, "{rows_key}": [m lists of m entries]}}'
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object {shape}")
+    size, rows = data.get(size_key), data.get(rows_key)
+    if not _int_type(type(size)):
+        raise ValueError(f'"{size_key}" must be an integer in {shape}')
+    square = isinstance(rows, list) and len(rows) == size
+    if not (square and all(isinstance(row, list) and len(row) == size for row in rows)):
+        raise ValueError(f'"{rows_key}" must hold {size} lists of {size} entries')
+    return rows
 
 
 def inner(G: GramMatrix, u: Sequence[int], v: Sequence[int]) -> int:

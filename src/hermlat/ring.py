@@ -15,6 +15,12 @@ import re
 from typing import Dict, Iterable, Mapping, Tuple
 
 
+def _int_type(t: type) -> bool:
+    """Whether values of type t are integers: int and its subclasses, not
+    bool.  The package's one such test; `hermlat.lattice` imports it."""
+    return issubclass(t, int) and t is not bool
+
+
 class LaurentPoly:
     """An element of Z[x, 1/x], stored sparsely as {exponent: coefficient}."""
 
@@ -26,9 +32,9 @@ class LaurentPoly:
             for e, c in terms.items():
                 # an exact int passes on the first test, so rejecting bool
                 # costs nothing on the ring operations' own results
-                if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
+                if type(e) is not int and not _int_type(type(e)):
                     raise ValueError("exponent must be an integer")
-                if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)):
+                if type(c) is not int and not _int_type(type(c)):
                     raise ValueError("coefficient must be an integer")
                 if c != 0:
                     clean[e] = c
@@ -144,10 +150,8 @@ class LaurentPoly:
                 raise ValueError(f"bad exponent key {k!r}") from None
             if str(e) != k:
                 raise ValueError(f"bad exponent key {k!r}")
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"bad coefficient {v!r}")
             out[e] = v
-        return cls(out)
+        return cls(out)  # which rejects a coefficient that is not an integer
 
 
 def sym_power(k: int) -> LaurentPoly:
@@ -172,7 +176,7 @@ class CyclicElement:
         if len(cs) != n:
             raise ValueError(f"expected {n} coefficients, got {len(cs)}")
         for c in cs:  # as in LaurentPoly: exact ints pass on the first test
-            if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)):
+            if type(c) is not int and not _int_type(type(c)):
                 raise ValueError("coefficient must be an integer")
         self._n = n
         self._coeffs = cs

@@ -135,6 +135,10 @@ def test_transfer_large_modulus(tmp_path, capsys):
         ("transfer", {"size": 0, "entries": []}),
         # int() would read these keys as the hermitian 3 + x + 1/x + x^10 + x^-10
         ("transfer", {"size": 1, "entries": [[{"0": 3, "01": 1, "-1": 1, "1_0": 1, "-10": 1}]]}),
+        # rows that are not lists: one shape check for both file formats
+        ("analyze", {"rank": 1, "gram": [1]}),
+        ("analyze", {"rank": 2, "gram": ["12", "34"]}),
+        ("transfer", {"size": 2, "entries": ["ab", "cd"]}),
     ],
 )
 def test_wrong_json_shape_is_a_parse_error(tmp_path, capsys, command, data):
@@ -144,6 +148,7 @@ def test_wrong_json_shape_is_a_parse_error(tmp_path, capsys, command, data):
     code, stdout, err = run(capsys, *argv)
     assert code == 2 and stdout == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert "not iterable" not in err
 
 
 @pytest.mark.parametrize("command", ["transfer", "analyze"])
@@ -482,6 +487,14 @@ def test_verify_paper_tiny_budget_skips_not_fails(capsys):
     code, stdout, _ = run(capsys, "verify-paper", "--max-n", "3", "--budget", "100")
     assert code == 0
     assert "FAIL" not in stdout and "SKIP" in stdout
+
+
+def test_verify_paper_rejects_a_negative_max_n(capsys):
+    code, stdout, err = run(capsys, "verify-paper", "--max-n", "-3")
+    assert (code, stdout, err) == (3, "", "error: max-n must be >= 0\n")
+    # 0 is valid: every enumeration claim is skipped, the rest run
+    code, stdout, _ = run(capsys, "verify-paper", "--max-n", "0")
+    assert code == 0 and "summary:" in stdout and " 0 failed" in stdout
 
 
 def test_verify_paper_rejects_a_negative_budget(capsys):

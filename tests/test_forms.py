@@ -69,6 +69,31 @@ def test_hermitian_validation():
         CyclicForm(3, [])
 
 
+def test_form_validation_message_order():
+    # the upper entry's own test comes first, then its mirror: a lower entry
+    # of another modulus (or an int) fails the mirror comparison
+    one, x = CyclicElement.one(3), CyclicElement.monomial(3, 1)
+    with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
+        CyclicForm(3, [[one, x], [CyclicElement.monomial(4, 2), one]])
+    with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
+        CyclicForm(3, [[one, x], [1, one]])
+    with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
+        HermitianForm([[LaurentPoly.one(), LaurentPoly.monomial(1)], [1, LaurentPoly.one()]])
+    with pytest.raises(ValueError, match="entries must share the stated modulus"):
+        CyclicForm(3, [[one, CyclicElement.monomial(4, 1)], [x.conj(), one]])
+    with pytest.raises(ValueError, match="entries must be LaurentPoly"):
+        HermitianForm([[LaurentPoly.one(), 1], [1, LaurentPoly.one()]])
+
+
+def test_form_types_never_compare_equal():
+    G = HermitianForm([[LaurentPoly.const(2)]])
+    Gn = CyclicForm(1, [[CyclicElement(1, [2])]])
+    assert G != Gn and Gn != G
+    assert G == HermitianForm([[LaurentPoly.const(2)]])
+    assert Gn == CyclicForm(1, [[CyclicElement(1, [2])]])
+    assert Gn != CyclicForm(2, [[CyclicElement(2, [2, 0])]])
+
+
 def test_b_sequence():
     assert [b_sequence(k) for k in (1, 2, 3, 4)] == [1, 5, 21, 85]
     assert all(b_sequence(k + 1) == 4 * b_sequence(k) + 1 for k in range(1, 60))

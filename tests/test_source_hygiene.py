@@ -1,7 +1,7 @@
 """Static checks over the package sources: unused imports, parameters and
-private definitions, bool mode flags, rationals and dataclasses, which
-modules import the form layer, plus what importing the CLI loads and
-whether every hermlat name the benchmark reads exists."""
+private definitions, bool mode flags, rationals and dataclasses, the one
+integer test, which modules import the form layer, plus what importing the
+CLI loads and whether every hermlat name the benchmark reads exists."""
 
 import ast
 import importlib
@@ -230,6 +230,35 @@ def test_public_names_are_read():
         and node.name not in read
     ]
     assert unread == []
+
+
+def test_one_integer_rule():
+    # int-not-bool is ring._int_type alone: no other isinstance(..., bool)
+    # and no other `is bool` / `is not bool` comparison in the package
+    def names_bool(node):
+        return any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node))
+
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        exempt = {
+            id(n)
+            for f in tree.body
+            if path.name == "ring.py" and isinstance(f, ast.FunctionDef) and f.name == "_int_type"
+            for n in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                hit = len(node.args) == 2 and names_bool(node.args[1])
+            elif isinstance(node, ast.Compare):
+                hit = any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops) and names_bool(node)
+            else:
+                continue
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_pairings_outside_lattice_go_through_one_product():
