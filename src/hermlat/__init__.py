@@ -34,6 +34,7 @@ from hermlat.forms import (
     transfer_image,
 )
 from hermlat.lattice import (
+    Budget,
     BudgetExceeded,
     EnumerationResult,
     GramMatrix,

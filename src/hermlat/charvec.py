@@ -23,9 +23,8 @@ from operator import mul
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from hermlat.lattice import (
-    DEFAULT_NODE_BUDGET,
+    Budget,
     GramMatrix,
-    _Budget,
     _coset,
     _gram_of,
     _image,
@@ -74,13 +73,11 @@ def is_characteristic(G: GramMatrix, w: Sequence[int]) -> bool:
 
 class DefectReport(NamedTuple):
     """Minimal characteristic norm and defect of a definite unimodular
-    lattice, one characteristic vector of that norm, and the enumeration
-    nodes that finding it took."""
+    lattice, and one characteristic vector of that norm."""
 
     min_norm: int
     defect: int
     witness: Vector
-    nodes: int
 
 
 class CharReport(NamedTuple):
@@ -91,12 +88,11 @@ class CharReport(NamedTuple):
     min_norm: int
     defect: int
     witness: Vector
-    nodes: int
     mu: int
     minimizers: Tuple[Vector, ...]
 
 
-def _defect_search(G: GramMatrix, budget: _Budget) -> Tuple[int, Iterator[Tuple[List[int], int]]]:
+def _defect_search(G: GramMatrix, budget: Budget) -> Tuple[int, Iterator[Tuple[List[int], int]]]:
     """(min_norm, the solutions (w, norm) of the first nonempty coset pass,
     lazily from its first), spending from ``budget``."""
     if G.determinant() != 1:
@@ -115,9 +111,7 @@ def _defect_search(G: GramMatrix, budget: _Budget) -> Tuple[int, Iterator[Tuple[
     return mn, chain([first], sols)
 
 
-def characteristic_defect(
-    G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET
-) -> DefectReport:
+def characteristic_defect(G: GramMatrix, budget: Optional[Budget] = None) -> DefectReport:
     """Exact minimal characteristic norm and defect, with one minimizer as
     the witness, without listing the minimizers.
 
@@ -127,37 +121,30 @@ def characteristic_defect(
     its bound; the nonempty pass stops at its first solution, whose norm
     is the bound by the congruence.  That leaf is the witness, and it is
     re-checked in integers (`defect_certificate_check` holds for it).
-    ``max_nodes`` bounds the nodes of all the passes together, and the
-    report's ``nodes`` is what they spent.  Determinants other than 1
-    raise ValueError.
+    Every pass spends from ``budget``.  Determinants other than 1 raise
+    ValueError.
     """
-    budget = _Budget(max_nodes)
-    mn, sols = _defect_search(G, budget)
+    mn, sols = _defect_search(G, budget or Budget())
     w = canonical_rep(next(sols)[0])
     if _characteristic_norm(G, w) != mn:
         raise AssertionError("the witness is not characteristic of the minimal norm")
-    return DefectReport(mn, (G.rank - mn) // 8, w, budget.used)
+    return DefectReport(mn, (G.rank - mn) // 8, w)
 
 
-def min_characteristic(
-    G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET
-) -> CharReport:
+def min_characteristic(G: GramMatrix, budget: Optional[Budget] = None) -> CharReport:
     """Exact minimal characteristic norm, defect, all minimizers and mu:
     the `characteristic_defect` search, with its nonempty pass, at the
-    minimal norm, run to its end, so each pass runs once.  ``max_nodes``
-    bounds the nodes of all the passes together, and the report's
-    ``nodes`` is what they spent.  Determinants other than 1 raise
-    ValueError.
+    minimal norm, run to its end, so each pass runs once.  Every pass
+    spends from ``budget``.  Determinants other than 1 raise ValueError.
     """
-    budget = _Budget(max_nodes)
-    mn, sols = _defect_search(G, budget)
+    mn, sols = _defect_search(G, budget or Budget())
     minimizers, norms = _input_pairs(sols)
     if any(nv != mn for nv in norms):
         raise AssertionError("a listed norm differs from the minimal norm")
     mu = sum(1 if all(x == 0 for x in v) else 2 for v in minimizers)
     if _characteristic_norm(G, minimizers[0]) != mn:
         raise AssertionError("the witness is not characteristic of the minimal norm")
-    return CharReport(mn, (G.rank - mn) // 8, minimizers[0], budget.used, mu, minimizers)
+    return CharReport(mn, (G.rank - mn) // 8, minimizers[0], mu, minimizers)
 
 
 def is_standard(

@@ -5,15 +5,17 @@ acceptance tests.
 expected, run) tuple per claim; a claim passes when `run()` equals
 `expected`, and run is None when the claim's modulus is above max_n.
 
-Every claim about a lattice reads reports computed once per lattice and
-budget: `_defect` (the defect, from the search that stops at its first
-minimal characteristic vector), `_char` (all minimal characteristic
-vectors, for mu and the minimizers) and `_roots` (the root system).  The
-lattices are built once as well (`_vn`, `_gamma`), so each is swept and
-LLL-reduced once.  Standardness and names are pure checks on those
-reports: the defect decides standardness (Elkies, Math. Res. Lett. 2,
-1995), and up to rank 16 the root system names the lattice (`identify`,
-SPLAG ch. 16, Table 16.7).
+Every claim about a lattice reads reports that its claim list computes once
+per lattice: `defect` (the defect, from the search that stops at its first
+minimal characteristic vector), `char` (all minimal characteristic vectors,
+for mu and the minimizers) and `roots` (the root system).  These three
+searches spend from one `Budget` per list, so `--budget` bounds the nodes of
+the whole list, and a claim that finds it spent is skipped without walking
+its search again.  The lattices are built once per process (`_vn`,
+`_gamma`), so each is swept and LLL-reduced once.  Standardness and names
+are pure checks on those reports: the defect decides standardness (Elkies,
+Math. Res. Lett. 2, 1995), and up to rank 16 the root system names the
+lattice (`identify`, SPLAG ch. 16, Table 16.7).
 Claims on the moduli up to 30, and the multiplier claims at moduli up to 86,
 use closed-form witnesses that integer arithmetic re-checks instead, on the
 cyclic form (`_cyclic`) through `transfer_image`: no rank-4n Gram is built
@@ -56,7 +58,7 @@ from hermlat.forms import (
     transfer,
     transfer_image,
 )
-from hermlat.lattice import GramMatrix, Vector, _gram_of, canonical_rep, direct_sum
+from hermlat.lattice import Budget, GramMatrix, Vector, _gram_of, canonical_rep, direct_sum
 from hermlat.ring import CyclicElement, LaurentPoly, format_laurent, sym_power
 from hermlat.roots import (
     RootSystemReport,
@@ -95,26 +97,8 @@ def _gamma(rank: int) -> GramMatrix:
     return gamma_gram(rank)
 
 
-@lru_cache(maxsize=None)
-def _defect(G: GramMatrix, budget: int) -> DefectReport:
-    """G's `characteristic_defect`, enumerated once per lattice and budget."""
-    return characteristic_defect(G, max_nodes=budget)
-
-
-@lru_cache(maxsize=None)
-def _char(G: GramMatrix, budget: int) -> CharReport:
-    """G's `min_characteristic`, enumerated once per lattice and budget."""
-    return min_characteristic(G, max_nodes=budget)
-
-
-@lru_cache(maxsize=None)
-def _roots(G: GramMatrix, budget: int) -> RootSystemReport:
-    """G's `root_system`, enumerated once per lattice and budget."""
-    return root_system(G, max_nodes=budget)
-
-
-def _standard(G: GramMatrix, budget: int) -> dict:
-    std, cert = is_standard(G, _defect(G, budget), _roots(G, budget).units)
+def _standard(G: GramMatrix, defect: DefectReport, roots: RootSystemReport) -> dict:
+    std, cert = is_standard(G, defect, roots.units)
     return {"standard": std, "certificate_ok": std and check_orthonormal_certificate(G, cert)}
 
 
@@ -171,7 +155,7 @@ def _floor3_witness(n: int) -> bool:
     )
 
 
-def _v3_minimizers(budget: int) -> dict:
+def _v3_minimizers(rep: CharReport) -> dict:
     # the twelve +/- classes w - 2 x^i e with e one of e1, e2, e1+e4, e2+e3
     w = witness_vector(3, ())
     expected = set()
@@ -181,7 +165,6 @@ def _v3_minimizers(budget: int) -> dict:
             for m in mods:
                 v[m * 3 + i] -= 2
             expected.add(canonical_rep(v))
-    rep = _char(_vn(3), budget)
     return {
         "min_norm": rep.min_norm,
         "mu": rep.mu,
@@ -263,7 +246,16 @@ def _distinguishing() -> dict:
 
 
 def claim_list(max_n: int, budget: int) -> List[Claim]:
-    """The claims in report order; `budget` bounds each enumeration."""
+    """The claims in report order; `budget` bounds the nodes of all their
+    enumerations together."""
+    spend = Budget(budget)
+    # looked up at call time, so a caller may wrap the module's searches
+    defect = lru_cache(maxsize=None)(lambda G: characteristic_defect(G, spend))
+    char = lru_cache(maxsize=None)(lambda G: min_characteristic(G, spend))
+    roots = lru_cache(maxsize=None)(lambda G: root_system(G, spend))
+
+    def standard_of(G: GramMatrix) -> dict:
+        return _standard(G, defect(G), roots(G))
 
     def upto(n: int, run: Callable[[], Any]) -> Optional[Callable[[], Any]]:
         return run if n <= max_n else None
@@ -286,13 +278,13 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
             "thm-new-n1-standard",
             "standardness of the transfer at modulus 1",
             standard,
-            lambda: _standard(_vn(1), budget),
+            lambda: standard_of(_vn(1)),
         ),
         (
             "thm-new-n2-standard",
             "standardness of the transfer at modulus 2",
             standard,
-            lambda: _standard(_vn(2), budget),
+            lambda: standard_of(_vn(2)),
         ),
         _range_claim(
             "thm-new-nonstandard-range",
@@ -312,32 +304,25 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
             "defect-exact-n3",
             "enumerated defect of the modulus-3 transfer",
             1,
-            upto(3, lambda: _defect(_vn(3), budget).defect),
+            upto(3, lambda: defect(_vn(3)).defect),
         ),
         (
             "defect-exact-n4",
             "enumerated defect of the modulus-4 transfer",
             1,
-            upto(4, lambda: _defect(_vn(4), budget).defect),
+            upto(4, lambda: defect(_vn(4)).defect),
         ),
         (
             "defect-exact-n5-bound",
             "defect bounds at modulus 5",
             {"lower": 1, "upper": 2, "within": True},
-            upto(
-                5,
-                lambda: {
-                    "lower": 1,
-                    "upper": 2,
-                    "within": 1 <= _defect(_vn(5), budget).defect <= 2,
-                },
-            ),
+            upto(5, lambda: {"lower": 1, "upper": 2, "within": 1 <= defect(_vn(5)).defect <= 2}),
         ),
         (
             "defect-exact-n5-value",
             "enumerated defect value at modulus 5",
             1,
-            upto(5, lambda: _defect(_vn(5), budget).defect),
+            upto(5, lambda: defect(_vn(5)).defect),
         ),
         _range_claim(
             "defect-bound-range",
@@ -350,19 +335,19 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
             "thm-smalln-v3-mu24",
             "minimal characteristic vectors of the modulus-3 transfer",
             {"min_norm": 4, "mu": 24, "minimizers_match": True},
-            lambda: _v3_minimizers(budget),
+            lambda: _v3_minimizers(char(_vn(3))),
         ),
         (
             "thm-smalln-v3-identify",
             "fingerprint identification of the modulus-3 transfer",
             "Gamma12",
-            lambda: identify(_vn(3), _roots(_vn(3), budget)),
+            lambda: identify(_vn(3), roots(_vn(3))),
         ),
         (
             "mu-e8-plus-i4",
             "minimal characteristic count of the rank-8 even lattice plus I4",
             16,
-            lambda: _char(direct_sum(_gamma(8), identity_gram(4)), budget).mu,
+            lambda: char(direct_sum(_gamma(8), identity_gram(4))).mu,
         ),
         (
             "thm-smalln-v4-dynkin",
@@ -377,39 +362,37 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
                 {"type": "D", "rank": 8, "roots": 112},
                 {"type": "D", "rank": 8, "roots": 112},
             ],
-            lambda: _roots(_vn(4), budget).to_json_dict()["components"],
+            lambda: roots(_vn(4)).to_json_dict()["components"],
         ),
         (
             "thm-smalln-v4-identify",
             "fingerprint identification of the modulus-4 transfer",
             "D8^2[(12)]",
-            lambda: identify(_vn(4), _roots(_vn(4), budget)),
+            lambda: identify(_vn(4), roots(_vn(4))),
         ),
         (
             "catalog-defect-floor",
             "defect of the half-integer overlattices of ranks 4,8,12,16",
             [0, 1, 1, 2],
-            lambda: [
-                _defect(_gamma(4 * m), budget).defect for m in (1, 2, 3, 4)
-            ],
+            lambda: [defect(_gamma(4 * m)).defect for m in (1, 2, 3, 4)],
         ),
         (
             "catalog-mu-gamma12",
             "minimal characteristic count of the rank-12 overlattice",
             24,
-            lambda: _char(_gamma(12), budget).mu,
+            lambda: char(_gamma(12)).mu,
         ),
         (
             "catalog-mu-gamma8",
             "minimal characteristic count of the rank-8 overlattice",
             1,
-            lambda: _char(_gamma(8), budget).mu,
+            lambda: char(_gamma(8)).mu,
         ),
         (
             "catalog-gamma4-standard",
             "the rank-4 overlattice is standard",
             standard,
-            lambda: _standard(_gamma(4), budget),
+            lambda: standard_of(_gamma(4)),
         ),
         (
             "lemma-rational-congruence",

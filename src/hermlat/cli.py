@@ -34,7 +34,7 @@ from hermlat.forms import (
     transfer,
     transfer_determinant,
 )
-from hermlat.lattice import DEFAULT_NODE_BUDGET, BudgetExceeded, GramMatrix
+from hermlat.lattice import DEFAULT_NODE_BUDGET, Budget, BudgetExceeded, GramMatrix
 from hermlat.ring import format_laurent, parse_laurent
 from hermlat.roots import identify, root_system
 
@@ -161,7 +161,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not G.is_positive_definite():
         raise CLIError(EXIT_DOMAIN, "Gram matrix is not positive definite")
     want_all = not (args.defect or args.mu or args.roots or args.standardize)
-    budget = args.budget  # for the whole call: root_system gets what is left
+    budget = Budget(args.budget)  # one for the whole call: root_system spends what is left
     skipped = False
     det = G.determinant()
     unimodular = det == 1
@@ -181,10 +181,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # first minimizer; mu lists the rest of the same pass
         search = min_characteristic if listing else characteristic_defect
         try:
-            char = search(G, max_nodes=budget)
-            budget -= char.nodes
+            char = search(G, budget)
         except BudgetExceeded:
-            budget, skipped = 0, True
+            skipped = True
     if want_all or args.defect:
         report["defect"] = (
             {"min_norm": char.min_norm, "defect": char.defect}
@@ -202,7 +201,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     rs = None
     if want_roots or (want_standard and char is not None):
         try:
-            rs = root_system(G, max_nodes=budget)
+            rs = root_system(G, budget=budget)
         except BudgetExceeded:
             skipped = True
     if want_standard:

@@ -20,16 +20,18 @@ reduced Gram and the certificate checks alike, comes from `_gram_of`: one
 product G v per vector, then dot products.  The Gram and the form files
 share one reader of their JSON shape, `_json_square`.
 
-Enumeration walks a bounded search tree; every visited node counts against a
-caller-supplied node budget (default 10^9) and exhausting it raises
-``BudgetExceeded`` rather than silently truncating.  The tree visits one
-vector of each +/- pair (the sign rule of Schnorr & Euchner, *Math.
-Programming* 66, 1994: the last nonzero coordinate in the reduced basis is
-positive), and its leaves know each solution's exact norm, so an
-``EnumerationResult`` carries the norms and the node count along with the
-pairs and nothing downstream recomputes a norm.  The tree is a generator that
-visits nodes only as its solutions are pulled; callers that chain coset passes
-(`charvec`) pull them from `_coset`, which spends from the caller's `_Budget`.
+Enumeration walks a bounded search tree; every visited node is spent from a
+`Budget` that the caller owns (a fresh one of 10^9 nodes when none is
+given), and exhausting it raises ``BudgetExceeded`` rather than silently
+truncating.  A command makes one `Budget` and passes it to every search it
+runs, so the limit bounds the command's total work and ``budget.used`` is
+the one node count.  The tree visits one vector of each +/- pair (the sign
+rule of Schnorr & Euchner, *Math. Programming* 66, 1994: the last nonzero
+coordinate in the reduced basis is positive), and its leaves know each
+solution's exact norm, so an ``EnumerationResult`` carries the norms along
+with the pairs and nothing downstream recomputes a norm.  The tree is a
+generator that visits nodes only as its solutions are pulled; callers that
+chain coset passes (`charvec`) pull them from `_coset`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ _Sweep = Tuple[int, int, Optional[Tuple[Vector, Tuple[Vector, ...]]]]
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an enumeration visits more nodes than its budget allows."""
+    """Raised when the searches sharing a `Budget` visit more nodes than its
+    limit allows; ``nodes`` is their total."""
 
     def __init__(self, nodes: int, budget: int):
         super().__init__(f"enumeration budget exhausted ({nodes} > {budget} nodes)")
@@ -357,16 +360,11 @@ def lll_reduce(G: GramMatrix):
 
 
 class EnumerationResult(NamedTuple):
-    """Canonically sorted +/- pair representatives within a norm bound.
+    """Canonically sorted +/- pair representatives within a norm bound;
+    ``norms[i]`` is the exact norm of ``pairs[i]``, read off the search tree."""
 
-    ``norms[i]`` is the exact norm of ``pairs[i]``, read off the search tree,
-    and ``nodes`` is the number of tree nodes the enumeration visited.
-    """
-
-    bound: int
     pairs: Tuple[Vector, ...]
     norms: Tuple[int, ...]
-    nodes: int
 
 
 def canonical_rep(v: Sequence[int]) -> Vector:
@@ -377,10 +375,13 @@ def canonical_rep(v: Sequence[int]) -> Vector:
     return tuple(v)
 
 
-class _Budget:
+class Budget:
+    """A node limit and the nodes spent against it by every search it is
+    passed to."""
+
     __slots__ = ("limit", "used")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
         self.limit = limit
         self.used = 0
 
@@ -390,7 +391,7 @@ class _Budget:
             raise BudgetExceeded(self.used, self.limit)
 
 
-def _enumerate(d, lam, U, parity: Sequence[int], step: int, bound: int, budget: _Budget):
+def _enumerate(d, lam, U, parity: Sequence[int], step: int, bound: int, budget: Budget):
     """Yields (U w, w^T G w), in tree order, for one w of each +/- pair of
     integer vectors with w_j = parity_j (mod step) and w^T G w <= bound, where
     G is the reduced Gram matrix and U maps its basis to the input basis.  The
@@ -451,41 +452,37 @@ def _input_pairs(sols) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
 
 
 def enumerate_short(
-    G: GramMatrix, bound: int, max_nodes: int = DEFAULT_NODE_BUDGET
+    G: GramMatrix, bound: int, budget: Optional[Budget] = None
 ) -> EnumerationResult:
-    """All +/- pairs with 0 < norm <= bound (Fincke-Pohst after LLL)."""
+    """All +/- pairs with 0 < norm <= bound (Fincke-Pohst after LLL),
+    spending from ``budget``."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     U, d, lam = G._reduced()
-    budget = _Budget(max_nodes)
-    sols = _enumerate(d, lam, U, [0] * G.rank, 1, bound, budget)
-    nonzero = ((v, nv) for v, nv in sols if nv)
-    return EnumerationResult(bound, *_input_pairs(nonzero), budget.used)
+    sols = _enumerate(d, lam, U, [0] * G.rank, 1, bound, budget or Budget())
+    return EnumerationResult(*_input_pairs((v, nv) for v, nv in sols if nv))
 
 
 def enumerate_coset(
-    G: GramMatrix,
-    c: Sequence[int],
-    bound: int,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
+    G: GramMatrix, c: Sequence[int], bound: int, budget: Optional[Budget] = None
 ) -> EnumerationResult:
-    """All +/- pairs w with w = c (mod 2) coordinate-wise and |w|^2 <= bound.
+    """All +/- pairs w with w = c (mod 2) coordinate-wise and |w|^2 <= bound,
+    spending from ``budget``.
 
     The zero vector is listed (once) exactly when c = 0 mod 2.  The
     enumeration runs in the LLL basis, where the coset is the solution x of
     U x = c (mod 2), and steps each coordinate through its residue class
     directly.
     """
-    budget = _Budget(max_nodes)
-    return EnumerationResult(bound, *_input_pairs(_coset(G, c, bound, budget)), budget.used)
+    return EnumerationResult(*_input_pairs(_coset(G, c, bound, budget or Budget())))
 
 
 def _coset(
-    G: GramMatrix, c: Sequence[int], bound: int, budget: _Budget
+    G: GramMatrix, c: Sequence[int], bound: int, budget: Budget
 ) -> Iterator[Tuple[List[int], int]]:
     """The solutions (U w, norm) of `enumerate_coset`, lazily in tree order,
-    spending from ``budget``: passes sharing one budget raise `BudgetExceeded`
-    with their total.  The bound and the shift are checked at the call."""
+    spending from ``budget`` as they are pulled.  The bound and the shift are
+    checked at the call."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if len(c) != G.rank:

@@ -23,10 +23,10 @@ through an isometry search or reference data computed at run time.
 from __future__ import annotations
 
 from operator import mul
-from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from hermlat.lattice import (
-    DEFAULT_NODE_BUDGET,
+    Budget,
     GramMatrix,
     _bareiss,
     _gram_of,
@@ -179,13 +179,14 @@ def _root_graph(pairs: Sequence[Vector], images: Sequence[Vector]) -> List[List[
     return list(groups.values())
 
 
-def root_system(G: GramMatrix, max_nodes: int = DEFAULT_NODE_BUDGET) -> RootSystemReport:
+def root_system(G: GramMatrix, budget: Optional[Budget] = None) -> RootSystemReport:
     """Components of the root graph, each typed by its span rank and root
     count, with the norm-1 pairs and the core, all from one bound-2
     enumeration, whose norms split the units from the roots.  In a definite
     lattice the components span mutually orthogonal sublattices, so the
-    span of all roots has the sum of their ranks."""
-    found = enumerate_short(G, 2, max_nodes=max_nodes)
+    span of all roots has the sum of their ranks.  The enumeration spends
+    from ``budget``."""
+    found = enumerate_short(G, 2, budget=budget)
     units = [v for v, nv in zip(found.pairs, found.norms) if nv == 1]
     roots = [v for v, nv in zip(found.pairs, found.norms) if nv == 2]
     images = [_image(G, v) for v in roots]

@@ -18,7 +18,7 @@ import hermlat.roots as roots
 from oracles import apply_basis_change, e8_gram, random_unimodular
 from hermlat.charvec import characteristic_defect, defect_certificate_check, min_characteristic
 from hermlat.forms import CyclicForm, build_form, build_form_power, reduce_form, transfer
-from hermlat.lattice import GramMatrix, direct_sum, enumerate_short
+from hermlat.lattice import Budget, GramMatrix, direct_sum, enumerate_short
 from hermlat.ring import CyclicElement
 from hermlat.roots import identity_gram
 
@@ -27,6 +27,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _nodes(search, *args):
+    """The nodes that one call search(*args, budget) spends from a fresh Budget."""
+    budget = Budget()
+    search(*args, budget)
+    return budget.used
 
 
 def test_build_power(tmp_path, capsys):
@@ -361,7 +368,7 @@ def test_analyze_budget_exhaustion(tmp_path, capsys):
     form_file, gram_file = tmp_path / "L.json", tmp_path / "V5.json"
     run(capsys, "build", "--k", "1", "--out", str(form_file))
     run(capsys, "transfer", str(form_file), "--n", "5", "--out", str(gram_file))
-    nodes = characteristic_defect(GramMatrix.from_json_dict(json.loads(gram_file.read_text()))).nodes
+    nodes = _nodes(characteristic_defect, GramMatrix.from_json_dict(json.loads(gram_file.read_text())))
     code, stdout, _ = run(capsys, "analyze", str(gram_file), "--defect", "--budget", str(nodes - 1))
     assert code == 4
     assert json.loads(stdout)["defect"] == {"status": "skipped(budget)"}
@@ -412,8 +419,8 @@ def test_analyze_budget_covers_the_whole_call(tmp_path, capsys, vn):
     G = GramMatrix(apply_basis_change(vn(4).gram, random_unimodular(random.Random(5), 16, steps=48)))
     path = tmp_path / "V4.json"
     path.write_text(json.dumps(G.to_json_dict()))
-    coset = min_characteristic(G).nodes
-    roots_pass = enumerate_short(G, 2).nodes
+    coset = _nodes(min_characteristic, G)
+    roots_pass = _nodes(enumerate_short, G, 2)
     code, full, _ = run(capsys, "analyze", str(path))
     assert code == 0
     code, stdout, _ = run(capsys, "analyze", str(path), "--budget", str(coset + roots_pass))
@@ -487,6 +494,35 @@ def test_verify_paper_tiny_budget_skips_not_fails(capsys):
     code, stdout, _ = run(capsys, "verify-paper", "--max-n", "3", "--budget", "100")
     assert code == 0
     assert "FAIL" not in stdout and "SKIP" in stdout
+
+
+def _verify_paper_statuses(capsys, *argv):
+    code, stdout, _ = run(capsys, "verify-paper", *argv, "--format", "json")
+    assert code == 0
+    return {r["claim_id"]: r["status"] for r in json.loads(stdout)["records"]}
+
+
+def test_verify_paper_budget_bounds_the_whole_claim_list(capsys):
+    # the searches of the whole list visit 3425 nodes at --max-n 5; one node
+    # less skips the last claim that searches, and nothing fails
+    statuses = _verify_paper_statuses(capsys, "--max-n", "5", "--budget", "3425")
+    assert len(statuses) == 26 and set(statuses.values()) == {"pass"}
+    statuses = _verify_paper_statuses(capsys, "--max-n", "5", "--budget", "3424")
+    skipped = [cid for cid, status in statuses.items() if status != "pass"]
+    assert skipped == ["catalog-gamma4-standard"] and statuses[skipped[0]] == "skipped(budget)"
+
+
+def test_verify_paper_pays_for_an_exhausted_budget_once(capsys, monkeypatch):
+    # at --budget 1960 the 1961-node V4 root pass exhausts the budget; every
+    # later claim that needs a new search is skipped at its first node, so the
+    # list visits the budget plus one node per skipped claim
+    visited = []
+    spend = lattice.Budget.spend
+    monkeypatch.setattr(lattice.Budget, "spend", lambda budget: visited.append(1) or spend(budget))
+    statuses = _verify_paper_statuses(capsys, "--max-n", "5", "--budget", "1960")
+    skipped = [cid for cid, status in statuses.items() if status == "skipped(budget)"]
+    assert skipped[:2] == ["thm-smalln-v4-roots", "thm-smalln-v4-identify"]
+    assert "fail" not in statuses.values() and len(visited) == 1960 + len(skipped)
 
 
 def test_verify_paper_rejects_a_negative_max_n(capsys):

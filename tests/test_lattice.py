@@ -29,11 +29,10 @@ from hermlat.charvec import (
 )
 from hermlat.claims import _floor3_witness
 from hermlat.lattice import (
-    _Budget,
     _coset,
     _rows,
     _solve_mod2,
-    DEFAULT_NODE_BUDGET,
+    Budget,
     BudgetExceeded,
     GramMatrix,
     canonical_rep,
@@ -44,7 +43,7 @@ from hermlat.lattice import (
     lll_reduce,
     norm,
 )
-from hermlat.roots import gamma_gram, identity_gram
+from hermlat.roots import gamma_gram, identity_gram, root_system
 
 
 def test_gram_validation():
@@ -261,7 +260,6 @@ def test_enumerate_short_vs_brute_force(vn):
 def test_enumerate_short_invariants(vn):
     G = vn(2)
     res = enumerate_short(G, 4)
-    assert res.bound == 4
     seen = set()
     for v in res.pairs:
         assert 0 < norm(G, v) <= 4
@@ -312,11 +310,18 @@ def test_unit_pair_count(vn):
 
 def test_budget_exceeded(vn):
     with pytest.raises(BudgetExceeded):
-        enumerate_short(vn(5), 8, max_nodes=50)
+        enumerate_short(vn(5), 8, Budget(50))
     try:
-        enumerate_short(vn(5), 8, max_nodes=50)
+        enumerate_short(vn(5), 8, Budget(50))
     except BudgetExceeded as exc:
         assert exc.nodes >= 50 and exc.budget == 50
+
+
+def _nodes(search, *args):
+    """The nodes that one call search(*args, budget) spends from a fresh Budget."""
+    budget = Budget()
+    search(*args, budget)
+    return budget.used
 
 
 # (n, bound-2 short-vector nodes, minimal characteristic norm, coset nodes there)
@@ -327,17 +332,17 @@ NODE_COUNTS = ((3, 739, 4, 87), (4, 1961, 8, 2086), (5, 3222, 12, 37656))
 def test_node_counts(vn, n, short, min_norm, coset):
     """Node counts are deterministic, so they pin the sign-halved trees."""
     G = vn(n)
-    assert enumerate_short(G, 2).nodes == short
-    assert enumerate_coset(G, char_rep(G), min_norm).nodes == coset
+    assert _nodes(enumerate_short, G, 2) == short
+    assert _nodes(enumerate_coset, G, char_rep(G), min_norm) == coset
 
 
 def test_min_characteristic_budget_covers_every_pass(vn):
     G, c = vn(4), char_rep(vn(4))
     # rank 16: bound 0 is empty, and bound 8 is listed in the same pass
     # that found the first minimizer
-    total = enumerate_coset(G, c, 0).nodes + enumerate_coset(G, c, 8).nodes
+    total = _nodes(enumerate_coset, G, c, 0) + _nodes(enumerate_coset, G, c, 8)
     assert total == 2 + 2086
-    _assert_visits_exactly(lambda m: min_characteristic(G, max_nodes=m), total)
+    _assert_visits_exactly(lambda b: min_characteristic(G, b), total)
 
 
 # (lattice, minimal characteristic norm, defect, nodes of characteristic_defect):
@@ -369,31 +374,47 @@ def test_defect_route_node_counts(vn, name, min_norm, defect, nodes):
     defect is floor(n/3), the bound the closed-form witness gives, so that
     witness is minimal there."""
     G = _oracle_lattice(name, vn)
-    rep = characteristic_defect(G)
-    assert (rep.min_norm, rep.defect, rep.nodes) == (min_norm, defect, nodes)
+    budget = Budget()
+    rep = characteristic_defect(G, budget)
+    assert (rep.min_norm, rep.defect, budget.used) == (min_norm, defect, nodes)
     assert defect_certificate_check(G, rep.witness, rep.defect)
     n = int(name[1:]) if name.startswith("V") else 0
     if 3 <= n <= 6 or name.startswith("Gamma"):
         # one pass per bound: min_characteristic re-walks no node
         c = char_rep(G)
-        passes = sum(enumerate_coset(G, c, b).nodes for b in range(G.rank % 8, min_norm + 1, 8))
-        assert min_characteristic(G).nodes == passes == LISTING_NODES.get(name, passes)
+        passes = sum(_nodes(enumerate_coset, G, c, b) for b in range(G.rank % 8, min_norm + 1, 8))
+        assert _nodes(min_characteristic, G) == passes == LISTING_NODES.get(name, passes)
     if n >= 3:
         assert rep.defect == n // 3 and _floor3_witness(n)
+
+
+def _scrambled_v4(vn):
+    return GramMatrix(apply_basis_change(vn(4).gram, random_unimodular(random.Random(5), 16, steps=48)))
 
 
 def test_defect_route_budget_covers_every_pass(vn):
     # V5, rank 20: bound 4 is empty and bound 12 stops at its first leaf;
     # scrambled V4, rank 16: bound 0 is empty and bound 8 stops there
-    G4 = GramMatrix(apply_basis_change(vn(4).gram, random_unimodular(random.Random(5), 16, steps=48)))
-    for G, empty, first in ((vn(5), 4, 12), (G4, 0, 8)):
+    for G, empty, first in ((vn(5), 4, 12), (_scrambled_v4(vn), 0, 8)):
         c = char_rep(G)
-        passed = enumerate_coset(G, c, empty)
-        budget = _Budget(DEFAULT_NODE_BUDGET)
+        budget = Budget()
+        passed = enumerate_coset(G, c, empty, budget)
         _, leaf_norm = next(_coset(G, c, first, budget))
         assert not passed.pairs and leaf_norm == first
-        total = passed.nodes + budget.used
-        _assert_visits_exactly(lambda m: characteristic_defect(G, max_nodes=m), total)
+        _assert_visits_exactly(lambda b: characteristic_defect(G, b), budget.used)
+
+
+def test_one_budget_covers_every_search_it_is_passed_to(vn):
+    # the defect search and then the root pass of scrambled V4 spend from one
+    # Budget, and BudgetExceeded reports their total
+    G = _scrambled_v4(vn)
+    total = _nodes(characteristic_defect, G) + _nodes(root_system, G)
+
+    def both(budget):
+        characteristic_defect(G, budget)
+        root_system(G, budget=budget)
+
+    _assert_visits_exactly(both, total)
 
 
 def test_canonical_rep():
@@ -416,10 +437,10 @@ def _oracle_lattice(name, vn):
 
 
 def _assert_visits_exactly(call, count):
-    """call(max_nodes) fits a budget of count nodes and not of count - 1."""
-    call(count)
+    """call(budget) fits a Budget of count nodes and not of count - 1."""
+    call(Budget(count))
     with pytest.raises(BudgetExceeded) as exc:
-        call(count - 1)
+        call(Budget(count - 1))
     assert (exc.value.nodes, exc.value.budget) == (count, count - 1)
 
 
@@ -434,16 +455,18 @@ def _assert_matches_oracle(G):
     assert G._reduced() == (U, *_oracle_gso(G2.gram))
 
     pairs, nodes = frac_enumerate_short(G.gram, 2)
-    res = enumerate_short(G, 2)
-    assert (set(res.pairs), res.nodes) == (pairs, nodes)
-    _assert_visits_exactly(lambda m: enumerate_short(G, 2, max_nodes=m), nodes)
+    budget = Budget()
+    res = enumerate_short(G, 2, budget)
+    assert (set(res.pairs), budget.used) == (pairs, nodes)
+    _assert_visits_exactly(lambda b: enumerate_short(G, 2, b), nodes)
 
     c, bound = char_rep(G), G.rank % 8 or 8
     assert _solve_mod2(U, c) == tuple(sum(map(mul, row, c)) % 2 for row in Uinv)
     pairs, nodes = frac_enumerate_coset(G.gram, c, bound)
-    res = enumerate_coset(G, c, bound)
-    assert (set(res.pairs), res.nodes) == (pairs, nodes)
-    _assert_visits_exactly(lambda m: enumerate_coset(G, c, bound, max_nodes=m), nodes)
+    budget = Budget()
+    res = enumerate_coset(G, c, bound, budget)
+    assert (set(res.pairs), budget.used) == (pairs, nodes)
+    _assert_visits_exactly(lambda b: enumerate_coset(G, c, bound, b), nodes)
 
 
 @pytest.mark.parametrize("name", ORACLE_LATTICES)

@@ -1,7 +1,8 @@
 """Static checks over the package sources: unused imports, parameters and
 private definitions, bool mode flags, rationals and dataclasses, the one
-integer test, which modules import the form layer, plus what importing the
-CLI loads and whether every hermlat name the benchmark reads exists."""
+integer test, the one node budget per command, which modules import the form
+layer, plus what importing the CLI loads and whether every hermlat name the
+benchmark reads exists."""
 
 import ast
 import importlib
@@ -274,3 +275,40 @@ def test_pairings_outside_lattice_go_through_one_product():
         if name in ("inner", "norm")
     ]
     assert calls == []
+
+
+def _params(node):
+    args = node.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def _called(node):
+    """The name a call or a decorator names: f for f(...), m.f(...), f, m.f."""
+    func = getattr(node, "func", node)
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def test_one_budget_per_command():
+    # a command makes one Budget and every search spends from it: no search
+    # takes a node count of its own, a Budget with a limit is made only by
+    # the two commands that search (analyze and the claim list), a library
+    # function only defaults a missing one with `budget or Budget()`, and no
+    # module-level cache keys a report on a budget
+    commands = (("cli.py", "_cmd_analyze"), ("claims.py", "claim_list"))
+    found = []
+    for path in MODULES:
+        for top in _tree(path).body:
+            nodes = list(ast.walk(top))
+            defaults = {id(n.values[-1]) for n in nodes if isinstance(n, ast.BoolOp) and isinstance(n.op, ast.Or)}
+            for node in nodes:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    if "max_nodes" in _params(node):
+                        found.append(f"{path.name}:{node.lineno} max_nodes")
+                elif isinstance(node, ast.Call) and _called(node) == "Budget":
+                    default = id(node) in defaults and not (node.args or node.keywords)
+                    if not default and (path.name, getattr(top, "name", None)) not in commands:
+                        found.append(f"{path.name}:{node.lineno} Budget(...)")
+            if isinstance(top, ast.FunctionDef) and "budget" in _params(top):
+                if any(_called(d) == "lru_cache" for d in top.decorator_list):
+                    found.append(f"{path.name}:{top.lineno} cached {top.name}(budget)")
+    assert found == []
