@@ -220,13 +220,13 @@ def witness_vector(n: int, a_coeffs: Sequence[int]) -> Vector:
 def wa_norm(n: int, a_coeffs: Sequence[int]) -> int:
     """Closed-form |w - 2 a(x) e_1|^2 = 4n - 4 (5 a(1) - 3 a^0 - 2 (a^1 + a^2)).
 
-    With a reduced mod x^n - 1, a^i = sum_j a_j a_{j+i} is the coefficient of
-    x^i in a * conj(a), so it holds for every n >= 1; it must agree with the
-    direct Gram evaluation on the transfer.
+    With a^i = sum_j a_j a_{j+i}, indices mod n, the coefficient of x^i in
+    a * conj(a) reduced mod x^n - 1, it holds for every n >= 1; it must agree
+    with the direct Gram evaluation on the transfer.
     """
-    r = LaurentPoly(dict(enumerate(a_coeffs))).reduce(n)
-    aa = r * r.conj()
-    return 4 * n - 4 * (5 * r.aug() - 3 * aa.coeff(0) - 2 * (aa.coeff(1) + aa.coeff(2)))
+    a = LaurentPoly(dict(enumerate(a_coeffs)))
+    aa = (a * a.conj()).reduce(n)
+    return 4 * n - 4 * (5 * a.aug() - 3 * aa.coeff(0) - 2 * (aa.coeff(1) + aa.coeff(2)))
 
 
 def specific_criterion(

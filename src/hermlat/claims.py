@@ -59,7 +59,7 @@ from hermlat.forms import (
     transfer_image,
 )
 from hermlat.lattice import Budget, GramMatrix, Vector, _gram_of, canonical_rep, direct_sum
-from hermlat.ring import CyclicElement, LaurentPoly, format_laurent, sym_power
+from hermlat.ring import LaurentPoly, format_laurent, sym_power
 from hermlat.roots import (
     RootSystemReport,
     check_dynkin,
@@ -176,18 +176,12 @@ def v4_root_batches() -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
     """Two batches of 8 norm-2 vectors in the rank-16 transfer (modulus 4),
     each realizing the D8 diagram, spanning mutually orthogonal copies.
 
-    The second batch is x times the first, coordinate-wise in the group ring.
+    The vectors are written over Z[x,1/x] and reduced mod x^4 - 1, and the
+    second batch is x times the first, coordinate-wise, before reducing.
     """
-    n = 4
-    zero = CyclicElement.zero(n)
-
-    def mono(e: int) -> CyclicElement:
-        return CyclicElement.monomial(n, e)
-
-    one = mono(0)
-    x = mono(1)
-    x2 = mono(2)
-    ones_134 = one + x + mono(3)  # 1 + x + x^3
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    x, x2 = LaurentPoly.monomial(1), LaurentPoly.monomial(2)
+    ones_134 = one + x + LaurentPoly.monomial(3)  # 1 + x + x^3
     vs = [
         [zero, zero, zero, x2],
         [-x2, x2, x2, zero],
@@ -198,8 +192,12 @@ def v4_root_batches() -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
         [-one, one, one, -one],
         [-one, -one, ones_134, ones_134],
     ]
-    batch1 = tuple(flatten_vector(v) for v in vs)
-    batch2 = tuple(flatten_vector([x * c for c in v]) for v in vs)
+
+    def flat(v: List[LaurentPoly]) -> Vector:
+        return flatten_vector([c.reduce(4) for c in v])
+
+    batch1 = tuple(flat(v) for v in vs)
+    batch2 = tuple(flat([x * c for c in v]) for v in vs)
     return batch1, batch2
 
 

@@ -140,9 +140,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_transfer(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise CLIError(EXIT_DOMAIN, "modulus must be >= 1")
-    Gn = reduce_form(_load(args.form_file, HermitianForm, "form"), args.n)
-    G = transfer(Gn)
-    det = transfer_determinant(Gn)
+    form = _load(args.form_file, HermitianForm, "form")
+    G = transfer(reduce_form(form, args.n))
+    det = transfer_determinant(form, args.n)
     with _printable():
         text = _gram_json(G)
         summary = f"rank: {G.rank}\ndeterminant: {det}\n"

@@ -23,12 +23,13 @@ sum_i' sum_k G[i][i'][k] * rot_left(v_i', k), which touches only the nonzero
 coefficients of each entry, O(n) work per coefficient instead of O((m*n)^2)
 for the dense product.
 
-Determinants over the form's own ring (``form_det`` and the first step of
-``transfer_determinant``) use Berkowitz's algorithm, which never divides and
-so works over Z[C_n] despite its zero divisors.
-``transfer_determinant`` then takes the norm of that determinant, the
+Arithmetic runs over Z[x,1/x] alone: a cyclic form is only read, never
+computed with.  ``form_det`` uses Berkowitz's algorithm, which never divides:
+Bareiss would need exact division in Z[x,1/x], which the package lacks.
+Reduction mod x^n - 1 is a ring map, so it commutes with det, and
+``transfer_determinant`` takes the norm of the reduced determinant, the
 resultant Res(x^n - 1, delta), which equals det transfer(G) without forming
-an n x n or m*n x m*n integer matrix.
+an n x n or m*n x m*n integer matrix or computing over Z[C_n].
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from operator import mul
 from typing import List, Sequence, Tuple
 
 from hermlat.lattice import GramMatrix, _json_square
-from hermlat.ring import CyclicElement, LaurentPoly, sym_power
+from hermlat.ring import CyclicElement, LaurentPoly, _modulus, sym_power
 
 
 class _Form:
@@ -109,7 +110,7 @@ class CyclicForm(_Form):
     _entry_error = "entries must share the stated modulus"
 
     def __init__(self, n: int, entries: Sequence[Sequence[CyclicElement]]):
-        self._n = n
+        self._n = _modulus(n)
         super().__init__(entries)
 
     def _entry_ok(self, e) -> bool:
@@ -191,22 +192,17 @@ def aug_form(G: HermitianForm) -> GramMatrix:
 
 
 def form_det(G: HermitianForm) -> LaurentPoly:
-    """Determinant over the Laurent ring (Berkowitz, division-free)."""
-    return _ring_det(G.rows(), LaurentPoly.one())
-
-
-def _ring_det(mat: Sequence[Sequence], one):
-    """Determinant of a square matrix over any commutative ring whose
-    elements support +, - and *; ``one`` is the ring's unit.
+    """Determinant over the Laurent ring.
 
     Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984): with
     A_k the leading k x k block and A_{k+1} = [[A_k, c], [r, a]], the
     characteristic polynomial of A_{k+1} is the lower-triangular Toeplitz
     matrix with first column (1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c)
-    applied to that of A_k.  O(m^4) ring operations and no division, so it
-    runs on rings with zero divisors such as Z[C_n], where Bareiss cannot.
+    applied to that of A_k.  O(m^4) ring operations and no division; Bareiss
+    would need exact division in Z[x,1/x], which the package lacks.
     """
-    zero = one - one
+    mat = G.rows()
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
     p = [one]  # char. polynomial of the leading block, highest degree first
     for k in range(len(mat)):
         block = [row[:k] for row in mat[:k]]
@@ -283,19 +279,21 @@ def transfer_image(Gn: CyclicForm, v: Sequence[int]) -> Tuple[int, ...]:
     return tuple(image)
 
 
-def transfer_determinant(Gn: CyclicForm) -> int:
-    """det transfer(Gn), as the norm N(delta) of delta = det Gn over Z[C_n].
+def transfer_determinant(G: HermitianForm, n: int) -> int:
+    """det transfer(reduce_form(G, n)), as the norm N(delta) of the
+    determinant delta of the reduced form over Z[C_n].
 
     transfer sends each entry to an n x n circulant, and c -> circulant(c) is
     a ring map, so the blocks commute and det over Z of the block matrix is
-    det of the circulant of delta (Silvester, Math. Gazette 84, 2000).  delta
-    comes from the division-free ring determinant, and the circulant's
-    eigenvalues are delta(zeta) over the n-th roots of unity zeta, so its
-    determinant is prod_zeta delta(zeta) = Res(x^n - 1, delta), which
-    `_resultant` computes without forming the n x n matrix.
+    det of the circulant of delta (Silvester, Math. Gazette 84, 2000).
+    Reduction is a ring map too, so delta is `form_det(G)` reduced mod
+    x^n - 1.  The circulant's eigenvalues are delta(zeta) over the n-th roots
+    of unity zeta, so its determinant is prod_zeta delta(zeta) =
+    Res(x^n - 1, delta), which `_resultant` computes without forming the
+    n x n matrix.  A bad modulus raises ValueError.
     """
-    delta = _ring_det(Gn.rows(), CyclicElement.one(Gn.n))
-    return _resultant([-1] + [0] * (Gn.n - 1) + [1], delta.coeffs)
+    delta = form_det(G).reduce(n)
+    return _resultant([-1] + [0] * (n - 1) + [1], delta.coeffs)
 
 
 def _strip(p: Sequence[int]) -> List[int]:

@@ -1,12 +1,14 @@
 """Laurent polynomials over the integers and their cyclic quotients.
 
-The two element types here are the coefficient rings for everything else in
-this package: ``LaurentPoly`` models Z[x, 1/x] with the involution x -> 1/x,
-and ``CyclicElement`` models the quotient Z[x, 1/x] / (x^n - 1), i.e. the
-group ring of a cyclic group of order n.  Both are immutable and exact, and
-their coefficients are Python integers: the constructors reject anything else,
-bools included.  Arithmetic takes two elements of the same type; an int operand
-is a TypeError.
+``LaurentPoly`` models Z[x, 1/x] with the involution x -> 1/x; it is the
+package's one ring with arithmetic.  ``LaurentPoly.reduce(n)`` is the ring map
+onto the group ring Z[x, 1/x] / (x^n - 1) of a cyclic group of order n, and
+the only way into it: a ``CyclicElement`` is the immutable coefficient vector
+of such a reduction, with the involution but no arithmetic.  An identity over
+Z[C_n] is computed over Z[x, 1/x] and reduced once.  Coefficients, exponents
+and moduli are Python integers: the constructors reject anything else, bools
+included.  Arithmetic takes two Laurent polynomials; an int operand is a
+TypeError.
 """
 
 from __future__ import annotations
@@ -122,10 +124,8 @@ class LaurentPoly:
         return sum(self._terms.values())
 
     def reduce(self, n: int) -> "CyclicElement":
-        """Reduce modulo x^n - 1."""
-        if n < 1:
-            raise ValueError("modulus must be >= 1")
-        coeffs = [0] * n
+        """Reduce modulo x^n - 1: the ring map onto Z[C_n]."""
+        coeffs = [0] * _modulus(n)
         for e, c in self._terms.items():
             coeffs[e % n] += c
         return CyclicElement(n, coeffs)
@@ -161,43 +161,32 @@ def sym_power(k: int) -> LaurentPoly:
     return LaurentPoly({k: 1, -k: 1})
 
 
-class CyclicElement:
-    """An element of Z[x,1/x] / (x^n - 1), stored as n coefficients.
+def _modulus(n) -> int:
+    """n itself when it is a valid modulus, an int >= 1; else ValueError."""
+    if not _int_type(type(n)):
+        raise ValueError("modulus must be an integer")
+    if n < 1:
+        raise ValueError("modulus must be >= 1")
+    return n
 
-    Index j holds the coefficient of x^j for j in 0..n-1.
+
+class CyclicElement:
+    """An element of Z[x,1/x] / (x^n - 1), stored as n coefficients: index j
+    holds the coefficient of x^j for j in 0..n-1.  Made by
+    ``LaurentPoly.reduce``; it has the involution but no arithmetic.
     """
 
     __slots__ = ("_n", "_coeffs")
 
     def __init__(self, n: int, coeffs: Iterable[int]):
-        if n < 1:
-            raise ValueError("modulus must be >= 1")
         cs = tuple(coeffs)
-        if len(cs) != n:
+        if len(cs) != _modulus(n):
             raise ValueError(f"expected {n} coefficients, got {len(cs)}")
         for c in cs:  # as in LaurentPoly: exact ints pass on the first test
             if type(c) is not int and not _int_type(type(c)):
                 raise ValueError("coefficient must be an integer")
         self._n = n
         self._coeffs = cs
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "CyclicElement":
-        return cls(n, [0] * n)
-
-    @classmethod
-    def one(cls, n: int) -> "CyclicElement":
-        return cls(n, [1] + [0] * (n - 1))
-
-    @classmethod
-    def monomial(cls, n: int, exp: int, coeff: int = 1) -> "CyclicElement":
-        coeffs = [0] * n
-        coeffs[exp % n] = coeff
-        return cls(n, coeffs)
-
-    # -- basic protocol --------------------------------------------------
 
     @property
     def n(self) -> int:
@@ -210,9 +199,10 @@ class CyclicElement:
     def coeff(self, exp: int) -> int:
         return self._coeffs[exp % self._n]
 
-    def _check(self, other: "CyclicElement") -> None:
-        if self._n != other._n:
-            raise ValueError("mixed moduli")
+    def conj(self) -> "CyclicElement":
+        """The involution x -> x^(n-1) = 1/x."""
+        n = self._n
+        return CyclicElement(n, [self._coeffs[(-j) % n] for j in range(n)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclicElement):
@@ -224,50 +214,6 @@ class CyclicElement:
 
     def __repr__(self) -> str:
         return f"CyclicElement(n={self._n}, coeffs={list(self._coeffs)})"
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other) -> "CyclicElement":
-        if not isinstance(other, CyclicElement):
-            return NotImplemented
-        self._check(other)
-        return CyclicElement(self._n, [a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __neg__(self) -> "CyclicElement":
-        return CyclicElement(self._n, [-c for c in self._coeffs])
-
-    def __sub__(self, other) -> "CyclicElement":
-        if not isinstance(other, CyclicElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "CyclicElement":
-        if not isinstance(other, CyclicElement):
-            return NotImplemented
-        self._check(other)
-        n = self._n
-        out = [0] * n
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b == 0:
-                    continue
-                k = i + j
-                if k >= n:
-                    k -= n
-                out[k] += a * b
-        return CyclicElement(n, out)
-
-    # -- structure maps ---------------------------------------------------
-
-    def conj(self) -> "CyclicElement":
-        """The involution x -> x^(n-1) = 1/x."""
-        n = self._n
-        return CyclicElement(n, [self._coeffs[(-j) % n] for j in range(n)])
-
-    def aug(self) -> int:
-        return sum(self._coeffs)
 
 
 # -- text syntax -----------------------------------------------------------

@@ -18,7 +18,7 @@ from math import isqrt, lcm
 from typing import List, Optional, Sequence, Set, Tuple
 
 from hermlat.lattice import GramMatrix
-from hermlat.ring import CyclicElement
+from hermlat.ring import LaurentPoly
 from hermlat.roots import dynkin_edges
 
 Vec = Tuple[int, ...]
@@ -94,8 +94,8 @@ def frac_rank(rows: Sequence[Sequence[int]]) -> int:
 
 def laplace_det(mat: Sequence[Sequence], one):
     """Cofactor expansion along the first row over any commutative ring
-    (LaurentPoly, CyclicElement, ...); ``one`` is the ring's unit.  m! terms,
-    so only for small m."""
+    whose elements support +, - and * (such as LaurentPoly); ``one`` is the
+    ring's unit.  m! terms, so only for small m."""
     m = len(mat)
     if m == 0:
         return one
@@ -417,9 +417,9 @@ def e8_gram() -> GramMatrix:
 
 
 def sesq_eval(G, u: Sequence, v: Sequence):
-    """<u, v> = sum_ij u_i G[i][j] conj(v_j); linear in u, conjugate-linear in
-    v.  For a HermitianForm with LaurentPoly vectors and for a CyclicForm
-    with CyclicElement vectors."""
+    """<u, v> = sum_ij u_i G[i][j] conj(v_j) over Z[x,1/x], for a
+    HermitianForm and LaurentPoly vectors; linear in u, conjugate-linear in
+    v.  Its value over Z[C_n] is its reduction mod x^n - 1."""
     m = G.size
     if len(u) != m or len(v) != m:
         raise ValueError("vector length must match the form size")
@@ -428,9 +428,9 @@ def sesq_eval(G, u: Sequence, v: Sequence):
     return sum(terms, u[0] - u[0])
 
 
-def module_basis_vector(m: int, i: int, n: int) -> List[CyclicElement]:
-    """e_i (0-based) as a CyclicElement vector of length m, modulus n."""
-    return [CyclicElement.one(n) if k == i else CyclicElement.zero(n) for k in range(m)]
+def module_basis_vector(m: int, i: int, j: int = 0) -> List[LaurentPoly]:
+    """x^j e_i (i 0-based) as a LaurentPoly vector of length m."""
+    return [LaurentPoly.monomial(j) if k == i else LaurentPoly.zero() for k in range(m)]
 
 
 # -- half-integer overlattice counts -------------------------------------------

@@ -15,7 +15,6 @@ from oracles import (
 from hermlat import forms
 from hermlat.forms import (
     _resultant,
-    _ring_det,
     CyclicForm,
     HermitianForm,
     aug_form,
@@ -72,15 +71,15 @@ def test_hermitian_validation():
 def test_form_validation_message_order():
     # the upper entry's own test comes first, then its mirror: a lower entry
     # of another modulus (or an int) fails the mirror comparison
-    one, x = CyclicElement.one(3), CyclicElement.monomial(3, 1)
+    one, x = LaurentPoly.one().reduce(3), LaurentPoly.monomial(1).reduce(3)
     with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
-        CyclicForm(3, [[one, x], [CyclicElement.monomial(4, 2), one]])
+        CyclicForm(3, [[one, x], [LaurentPoly.monomial(2).reduce(4), one]])
     with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
         CyclicForm(3, [[one, x], [1, one]])
     with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
         HermitianForm([[LaurentPoly.one(), LaurentPoly.monomial(1)], [1, LaurentPoly.one()]])
     with pytest.raises(ValueError, match="entries must share the stated modulus"):
-        CyclicForm(3, [[one, CyclicElement.monomial(4, 1)], [x.conj(), one]])
+        CyclicForm(3, [[one, LaurentPoly.monomial(1).reduce(4)], [x.conj(), one]])
     with pytest.raises(ValueError, match="entries must be LaurentPoly"):
         HermitianForm([[LaurentPoly.one(), 1], [1, LaurentPoly.one()]])
 
@@ -153,32 +152,29 @@ def test_sesq_eval_convention():
 
 
 def test_sesq_eval_norm_element_absorption():
-    # <N v, e> = N * aug(<v, e>)
+    # <N v, e> = N * aug(<v, e>) over Z[C_3], N = 1 + x + x^2
     n = 3
-    Ln = reduce_form(L, n)
-    N = CyclicElement(n, [1] * n)
-    one, zero = CyclicElement.one(n), CyclicElement.zero(n)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    N = LaurentPoly({0: 1, 1: 1, 2: 1})
     v = [zero, zero, one, one]
     Nv = [zero, zero, N, N]
-    e1 = module_basis_vector(4, 0, n)
-    base = sesq_eval(Ln, v, e1)
-    assert sesq_eval(Ln, Nv, e1) == CyclicElement(n, (base.aug(),) * n)
+    e1 = module_basis_vector(4, 0)
+    base = sesq_eval(L, v, e1)
+    assert sesq_eval(L, Nv, e1).reduce(n).coeffs == (base.aug(),) * n
 
 
 def test_transfer_matches_sesq_pi():
-    # each transfer entry is the identity coefficient of the hermitian pairing
+    # each transfer entry is the identity coefficient of the hermitian
+    # pairing, reduced mod x^n - 1
     n = 3
-    Ln = reduce_form(L, n)
-    G = transfer(Ln)
+    G = transfer(reduce_form(L, n))
     for i in range(4):
         for j in range(n):
             for i2 in range(4):
                 for j2 in range(n):
-                    u = module_basis_vector(4, i, n)
-                    u[i] = CyclicElement.monomial(n, j)
-                    v = module_basis_vector(4, i2, n)
-                    v[i2] = CyclicElement.monomial(n, j2)
-                    assert G.gram[i * n + j][i2 * n + j2] == sesq_eval(Ln, u, v).coeff(0)
+                    u = module_basis_vector(4, i, j)
+                    v = module_basis_vector(4, i2, j2)
+                    assert G.gram[i * n + j][i2 * n + j2] == sesq_eval(L, u, v).reduce(n).coeff(0)
 
 
 def test_transfer_small_n():
@@ -203,11 +199,10 @@ def test_transfer_at_constant_form_is_block_identity():
 
 def test_flatten_vector():
     n = 3
-    v = [CyclicElement.zero(n)] * 2 + [CyclicElement(n, [1] * n)] * 2
-    assert flatten_vector(v) == (0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
-    e2x = module_basis_vector(4, 1, n)
-    e2x[1] = CyclicElement.monomial(n, 2)
-    assert flatten_vector(e2x) == (0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+    v = [LaurentPoly.zero()] * 2 + [LaurentPoly({0: 1, 1: 1, 2: 1})] * 2
+    assert flatten_vector([c.reduce(n) for c in v]) == (0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
+    e2x = module_basis_vector(4, 1, 2)
+    assert flatten_vector([c.reduce(n) for c in e2x]) == (0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
 
 
 def test_rational_congruence():
@@ -250,73 +245,50 @@ COEFF = st.integers(-3, 3)
 
 
 @st.composite
-def hermitian_cyclic_forms(draw, max_m=5):
-    """Random hermitian CyclicForm, m 1..max_m, n 1..9; now and then the
+def hermitian_laurent_forms(draw, max_m=5):
+    """Random HermitianForm, m 1..max_m, exponents -2..2; now and then the
     last row and column repeat the first, which makes it singular."""
-    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, 9))
+    m = draw(st.integers(1, max_m))
+    coeffs = lambda k: draw(st.lists(COEFF, min_size=k, max_size=k))
     rows = [[None] * m for _ in range(m)]
     for i in range(m):
-        c = draw(st.lists(COEFF, min_size=n, max_size=n))
-        # c[k] = c[n-k] makes the diagonal entry self-conjugate
-        rows[i][i] = CyclicElement(n, [c[min(k, n - k)] for k in range(n)])
+        c = coeffs(3)
+        # c[|k|] at x^k makes the diagonal entry self-conjugate
+        rows[i][i] = LaurentPoly({k: c[abs(k)] for k in range(-2, 3)})
         for j in range(i + 1, m):
-            e = CyclicElement(n, draw(st.lists(COEFF, min_size=n, max_size=n)))
-            rows[i][j], rows[j][i] = e, e.conj()
+            rows[i][j] = LaurentPoly(dict(zip(range(-2, 3), coeffs(5))))
+            rows[j][i] = rows[i][j].conj()
     if m > 1 and draw(st.booleans()):
         for i in range(m - 1):
             rows[i][m - 1] = rows[i][0]
         rows[m - 1] = rows[0][:]
-    return CyclicForm(n, rows)
-
-
-@st.composite
-def hermitian_laurent_forms(draw):
-    """Random HermitianForm, m 1..5, exponents -2..2."""
-    m = draw(st.integers(1, 5))
-    poly = lambda: LaurentPoly(dict(zip(range(-2, 3), draw(st.lists(COEFF, min_size=5, max_size=5)))))
-    rows = [[None] * m for _ in range(m)]
-    for i in range(m):
-        p = poly()
-        rows[i][i] = p + p.conj()
-        for j in range(i + 1, m):
-            rows[i][j] = poly()
-            rows[j][i] = rows[i][j].conj()
     return HermitianForm(rows)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(hermitian_cyclic_forms())
-def test_transfer_determinant_matches_fraction_elimination(Gn):
-    assert transfer_determinant(Gn) == frac_det(transfer(Gn).gram)
-    one = CyclicElement.one(Gn.n)
-    assert _ring_det(Gn.rows(), one) == laplace_det(Gn.rows(), one)
+@given(hermitian_laurent_forms(), st.integers(1, 9))
+def test_transfer_determinant_matches_fraction_elimination(G, n):
+    assert transfer_determinant(G, n) == frac_det(transfer(reduce_form(G, n)).gram)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(hermitian_laurent_forms(), st.integers(1, 6))
-def test_ring_det_matches_laplace(G, n):
-    delta = form_det(G)
-    assert delta == laplace_det(G.rows(), LaurentPoly.one())
-    # reduction mod x^n - 1 is a ring map, so it commutes with det
-    assert _ring_det(reduce_form(G, n).rows(), CyclicElement.one(n)) == delta.reduce(n)
+@given(hermitian_laurent_forms())
+def test_ring_det_matches_laplace(G):
+    assert form_det(G) == laplace_det(G.rows(), LaurentPoly.one())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(hermitian_cyclic_forms(max_m=4))
-def test_transfer_matches_sesq_pi_on_random_forms(Gn):
-    # entry by entry against the pairing of the basis vectors x^j e_i
-    m, n = Gn.size, Gn.n
-    basis = []
-    for i in range(m):
-        for j in range(n):
-            v = module_basis_vector(m, i, n)
-            v[i] = CyclicElement.monomial(n, j)
-            basis.append(v)
-    G = transfer(Gn)
-    assert G.rank == m * n
+@given(hermitian_laurent_forms(max_m=4), st.integers(1, 9))
+def test_transfer_matches_sesq_pi_on_random_forms(G, n):
+    # entry by entry against the pairing of the basis vectors x^j e_i,
+    # reduced mod x^n - 1
+    m = G.size
+    basis = [module_basis_vector(m, i, j) for i in range(m) for j in range(n)]
+    T = transfer(reduce_form(G, n))
+    assert T.rank == m * n
     for a, u in enumerate(basis):
         for b, v in enumerate(basis):
-            assert G.gram[a][b] == sesq_eval(Gn, u, v).coeff(0)
+            assert T.gram[a][b] == sesq_eval(G, u, v).reduce(n).coeff(0)
 
 
 def _poly_mul(p, q):
@@ -362,26 +334,30 @@ def test_resultant_of_zero_and_of_padded_inputs():
 
 @pytest.mark.parametrize("n", [41, 48])
 def test_transfer_determinant_dense_large_modulus(n):
-    # a dense self-conjugate entry (c_k = c_{n-k}) whose norm has ~30 digits
+    # a dense self-conjugate entry whose reduction has c_k = c_(n-k) and
+    # whose norm has ~30 digits (c_24 = 0 at n = 48, so exponents |k| < n/2
+    # reach every nonzero coefficient)
     c = [k * (n - k) % 7 - 2 for k in range(n)]
-    Gn = CyclicForm(n, [[CyclicElement(n, c)]])
-    det = transfer_determinant(Gn)
-    assert det == frac_det(transfer(Gn).gram)
+    h = (n - 1) // 2
+    G = HermitianForm([[LaurentPoly({k: c[k % n] for k in range(-h, h + 1)})]])
+    assert G.rows()[0][0].reduce(n).coeffs == tuple(c)
+    det = transfer_determinant(G, n)
+    assert det == frac_det(transfer(reduce_form(G, n)).gram)
     assert len(str(abs(det))) > 20
 
 
 def test_transfer_determinant_examples():
-    c = lambda n, *coeffs: CyclicElement(n, list(coeffs) + [0] * (n - len(coeffs)))
+    form = lambda *rows: HermitianForm([[parse_laurent(e) for e in row] for row in rows])
     # n = 1 is the integer determinant itself
-    assert transfer_determinant(CyclicForm(1, [[c(1, -1)]])) == -1
-    assert transfer_determinant(CyclicForm(1, [[c(1, 2), c(1, 3)], [c(1, 3), c(1, 2)]])) == -5
-    # the norm element 1 + x + x^2 has norm 0: its circulant is all ones
-    assert transfer_determinant(CyclicForm(3, [[c(3, 1, 1, 1)]])) == 0
+    assert transfer_determinant(form(["-1"]), 1) == -1
+    assert transfer_determinant(form(["2", "3"], ["3", "2"]), 1) == -5
+    # the norm element 1 + x + x^2 = 1 + x + 1/x mod x^3 - 1 has norm 0: its
+    # circulant is all ones
+    assert transfer_determinant(form(["1 + x + x^-1"]), 3) == 0
     # a hyperbolic plane spreads to n hyperbolic planes
-    H = lambda n: CyclicForm(n, [[c(n), c(n, 1)], [c(n, 1), c(n)]])
-    assert [transfer_determinant(H(n)) for n in (1, 2, 3)] == [-1, 1, -1]
+    H = form(["0", "1"], ["1", "0"])
+    assert [transfer_determinant(H, n) for n in (1, 2, 3)] == [-1, 1, -1]
     # 3 + x + 1/x at n = 5: prod_k (3 + 2 cos(2 pi k / 5)) = 125
-    assert transfer_determinant(CyclicForm(5, [[c(5, 3, 1, 0, 0, 1)]])) == 125
+    assert transfer_determinant(form(["3 + x + x^-1"]), 5) == 125
     for n in (1, 2, 3, 7):
-        Ln = reduce_form(L, n)
-        assert transfer_determinant(Ln) == transfer(Ln).determinant() == 1
+        assert transfer_determinant(L, n) == transfer(reduce_form(L, n)).determinant() == 1

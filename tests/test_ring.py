@@ -1,9 +1,11 @@
-"""Laurent ring and cyclic group-ring arithmetic."""
+"""Laurent ring arithmetic and its reduction to the cyclic group ring."""
 
 from fractions import Fraction
 
 import pytest
 
+from hermlat.charvec import wa_norm, witness_vector
+from hermlat.forms import CyclicForm, build_form, reduce_form
 from hermlat.ring import (
     CyclicElement,
     LaurentPoly,
@@ -95,21 +97,28 @@ def test_reduce_coeffs():
         assert LaurentPoly.monomial(n).reduce(n).coeffs == tuple([1] + [0] * (n - 1))
 
 
+def lift(c: CyclicElement) -> LaurentPoly:
+    """The representative sum_j c_j x^j, j = 0..n-1, of a reduced element."""
+    return LaurentPoly(dict(enumerate(c.coeffs)))
+
+
 def test_reduce_is_ring_hom():
+    # the reduction of a sum or product depends only on the reductions of
+    # its operands, and it keeps the augmentation and the involution
     p = LaurentPoly({0: 2, 3: -1, -4: 5})
     q = LaurentPoly({1: 1, -2: 7})
     n = 5
-    assert (p + q).reduce(n) == p.reduce(n) + q.reduce(n)
-    assert (p * q).reduce(n) == p.reduce(n) * q.reduce(n)
-    assert p.reduce(n).aug() == p.aug()
+    for op in (LaurentPoly.__add__, LaurentPoly.__mul__):
+        assert op(p, q).reduce(n) == op(lift(p.reduce(n)), lift(q.reduce(n))).reduce(n)
+    assert sum(p.reduce(n).coeffs) == p.aug()
+    assert p.reduce(n).conj() == p.conj().reduce(n)
 
 
 def test_norm_element_absorbs():
-    # N * r = aug(r) * N in the cyclic ring
-    N = CyclicElement(3, [1] * 3)
-    r = (LaurentPoly.one() + x).reduce(3)
-    assert (N * r).coeffs == (2, 2, 2)
-    assert N * r == CyclicElement(3, [r.aug()] * 3)
+    # N * r = aug(r) * N in the cyclic ring, N = 1 + x + x^2 at n = 3
+    r = LaurentPoly({0: 1, 1: 1, -4: 3})
+    N = LaurentPoly.one() + x + x * x
+    assert (N * r).reduce(3).coeffs == (r.aug(),) * 3 == (5, 5, 5)
 
 
 def test_cyclic_conj_fixed_pointwise_at_n2():
@@ -117,14 +126,26 @@ def test_cyclic_conj_fixed_pointwise_at_n2():
     assert e.conj() == e
 
 
-def test_cyclic_mul():
-    g = CyclicElement.monomial(3, 1)
-    assert (g * g).coeffs == (0, 0, 1)
+MODULUS_TAKERS = {
+    "reduce": lambda n: LaurentPoly({1: 1}).reduce(n),
+    "CyclicElement": lambda n: CyclicElement(n, (1, 2)),
+    "CyclicForm": lambda n: CyclicForm(n, [[CyclicElement(1, (2,))]]),
+    "reduce_form": lambda n: reduce_form(build_form(sym_power(1)), n),
+    "witness_vector": lambda n: witness_vector(n, ()),
+    "wa_norm": lambda n: wa_norm(n, (1,)),
+}
 
 
-def test_cyclic_modulus_mismatch():
-    with pytest.raises(ValueError):
-        CyclicElement.monomial(2, 1) * CyclicElement.monomial(3, 1)
+@pytest.mark.parametrize("take", MODULUS_TAKERS.values(), ids=MODULUS_TAKERS)
+def test_every_modulus_is_an_int(take):
+    # a modulus is an int, as a coefficient is: not True, though True == 1,
+    # and not 2.0, though 2.0 == 2
+    for bad in (True, False, 2.0, 1.0, "2", None):
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            take(bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            take(bad)
 
 
 def test_sym_power():

@@ -1,8 +1,8 @@
 """Static checks over the package sources: unused imports, parameters and
 private definitions, bool mode flags, rationals and dataclasses, the one
-integer test, the one node budget per command, which modules import the form
-layer, plus what importing the CLI loads and whether every hermlat name the
-benchmark reads exists."""
+integer test, the one node budget per command, the one ring with arithmetic,
+which modules import the form layer, plus what importing the CLI loads and
+whether every hermlat name the benchmark reads exists."""
 
 import ast
 import importlib
@@ -311,4 +311,27 @@ def test_one_budget_per_command():
             if isinstance(top, ast.FunctionDef) and "budget" in _params(top):
                 if any(_called(d) == "lru_cache" for d in top.decorator_list):
                     found.append(f"{path.name}:{top.lineno} cached {top.name}(budget)")
+    assert found == []
+
+
+def test_group_ring_arithmetic_is_laurent():
+    # group-ring identities are computed over Z[x,1/x] and reduced once: a
+    # CyclicElement defines no arithmetic, and only ring.py (through
+    # LaurentPoly.reduce) makes one
+    ring_ops = {
+        "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+        "__rmul__", "__pow__", "zero", "one", "monomial", "aug",
+    }
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef) and node.name == "CyclicElement":
+                found += [
+                    f"{path.name}:{d.lineno} CyclicElement.{d.name}"
+                    for d in node.body
+                    if isinstance(d, ast.FunctionDef) and d.name in ring_ops
+                ]
+            elif isinstance(node, ast.Call) and _called(node) == "CyclicElement":
+                if path.name != "ring.py":
+                    found.append(f"{path.name}:{node.lineno} CyclicElement(...)")
     assert found == []
