@@ -45,7 +45,6 @@ from hermlat.lattice import (
     norm,
 )
 from hermlat.ring import (
-    CyclicElement,
     LaurentPoly,
     format_laurent,
     parse_laurent,

@@ -214,7 +214,7 @@ def witness_vector(n: int, a_coeffs: Sequence[int]) -> Vector:
     """w - 2 a(x) e_1 in transfer coordinates, with a(x) reduced mod x^n - 1.
     Raises ValueError for n < 1 or a coefficient that is not an int."""
     r = LaurentPoly(dict(enumerate(a_coeffs))).reduce(n)
-    return tuple([-2 * c for c in r.coeffs] + [0] * n + [1] * (2 * n))
+    return tuple([-2 * c for c in r] + [0] * n + [1] * (2 * n))
 
 
 def wa_norm(n: int, a_coeffs: Sequence[int]) -> int:
@@ -222,11 +222,13 @@ def wa_norm(n: int, a_coeffs: Sequence[int]) -> int:
 
     With a^i = sum_j a_j a_{j+i}, indices mod n, the coefficient of x^i in
     a * conj(a) reduced mod x^n - 1, it holds for every n >= 1; it must agree
-    with the direct Gram evaluation on the transfer.
+    with the direct Gram evaluation on the transfer.  The reduction is the
+    tuple of those n coefficients, so a^i is its entry i mod n, which wraps
+    a^1 and a^2 at n = 1 and a^2 at n = 2.
     """
     a = LaurentPoly(dict(enumerate(a_coeffs)))
     aa = (a * a.conj()).reduce(n)
-    return 4 * n - 4 * (5 * a.aug() - 3 * aa.coeff(0) - 2 * (aa.coeff(1) + aa.coeff(2)))
+    return 4 * n - 4 * (5 * a.aug() - 3 * aa[0] - 2 * (aa[1 % n] + aa[2 % n]))
 
 
 def specific_criterion(

@@ -107,7 +107,7 @@ def _transfer_characteristic_norm(Gn: CyclicForm, w: Sequence[int]) -> Optional[
     the product is `transfer_image(Gn, w)`, and diagonal entry i*n + j of the
     transfer is the constant coefficient of Gn[i][i]."""
     n = Gn.n
-    diagonal = [row[i].coeffs[0] for i, row in enumerate(Gn.rows()) for _ in range(n)]
+    diagonal = [row[i][0] for i, row in enumerate(Gn.rows()) for _ in range(n)]
     return _norm_if_characteristic(transfer_image(Gn, w), diagonal, w)
 
 

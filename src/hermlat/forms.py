@@ -1,7 +1,8 @@
 """Hermitian forms over the Laurent ring and over cyclic group rings.
 
 A form is a square matrix G with entries in Z[x,1/x] (``HermitianForm``) or in
-Z[x,1/x]/(x^n - 1) (``CyclicForm``) satisfying G[j][i] = conj(G[i][j]).  Both
+Z[x,1/x]/(x^n - 1) (``CyclicForm``, whose entries are the coefficient tuples
+that `LaurentPoly.reduce` returns) satisfying G[j][i] = conj(G[i][j]).  Both
 types validate that once, in their private base ``_Form``, which also owns
 their size, rows and equality; a form file is read by `lattice._json_square`,
 the reader of the Gram files too.  The pairing convention throughout is
@@ -24,8 +25,9 @@ coefficients of each entry, O(n) work per coefficient instead of O((m*n)^2)
 for the dense product.
 
 Arithmetic runs over Z[x,1/x] alone: a cyclic form is only read, never
-computed with.  ``form_det`` uses Berkowitz's algorithm, which never divides:
-Bareiss would need exact division in Z[x,1/x], which the package lacks.
+computed with, and its involution x^j -> x^(n-j) is `CyclicForm._conj`.
+``form_det`` uses Berkowitz's algorithm, which never divides: Bareiss would
+need exact division in Z[x,1/x], which the package lacks.
 Reduction mod x^n - 1 is a ring map, so it commutes with det, and
 ``transfer_determinant`` takes the norm of the reduced determinant, the
 resultant Res(x^n - 1, delta), which equals det transfer(G) without forming
@@ -39,14 +41,14 @@ from operator import mul
 from typing import List, Sequence, Tuple
 
 from hermlat.lattice import GramMatrix, _json_square
-from hermlat.ring import CyclicElement, LaurentPoly, _modulus, sym_power
+from hermlat.ring import LaurentPoly, _int_type, _modulus, sym_power
 
 
 class _Form:
     """The validation, size, rows and equality of both form types.  In row
     order over the upper triangle, each entry must pass the subclass's
     `_entry_ok` (else ValueError(`_entry_error`)) and its mirror must be its
-    conjugate, which a bad lower entry fails."""
+    `_conj` and pass `_entry_ok` too, which a bad lower entry fails."""
 
     __slots__ = ("_entries",)
 
@@ -61,7 +63,8 @@ class _Form:
             for j in range(i, m):
                 if not self._entry_ok(rows[i][j]):
                     raise ValueError(self._entry_error)
-                if rows[j][i] != rows[i][j].conj():
+                mirror = rows[j][i]
+                if mirror != self._conj(rows[i][j]) or not self._entry_ok(mirror):
                     raise ValueError(f"not hermitian at ({i},{j})")
         self._entries = rows
 
@@ -73,7 +76,7 @@ class _Form:
         return self._entries
 
     def __eq__(self, other) -> bool:
-        # equal cyclic entries share their modulus, so no separate n test
+        # equal cyclic entries have the same length n, so no separate n test
         if type(other) is not type(self):
             return NotImplemented
         return self._entries == other._entries
@@ -84,6 +87,7 @@ class HermitianForm(_Form):
 
     __slots__ = ()
     _entry_error = "entries must be LaurentPoly"
+    _conj = staticmethod(LaurentPoly.conj)
 
     def _entry_ok(self, e) -> bool:
         return isinstance(e, LaurentPoly)
@@ -104,17 +108,24 @@ class HermitianForm(_Form):
 
 
 class CyclicForm(_Form):
-    """Square hermitian matrix over the modulus-n group ring."""
+    """Square hermitian matrix over the modulus-n group ring.  Each entry is
+    a tuple of n ints, index j holding the coefficient of x^j, as
+    `LaurentPoly.reduce(n)` returns it."""
 
     __slots__ = ("_n",)
-    _entry_error = "entries must share the stated modulus"
+    _entry_error = "entries must be tuples of n integers"
 
-    def __init__(self, n: int, entries: Sequence[Sequence[CyclicElement]]):
+    def __init__(self, n: int, entries: Sequence[Sequence[Tuple[int, ...]]]):
         self._n = _modulus(n)
         super().__init__(entries)
 
     def _entry_ok(self, e) -> bool:
-        return isinstance(e, CyclicElement) and e.n == self._n
+        return isinstance(e, tuple) and len(e) == self._n and all(_int_type(type(c)) for c in e)
+
+    @staticmethod
+    def _conj(e: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The involution x^j -> x^(n-j) on a coefficient tuple."""
+        return e[:1] + e[:0:-1]
 
     @property
     def n(self) -> int:
@@ -127,7 +138,7 @@ class CyclicForm(_Form):
         """True when every entry lies in Z*1, i.e. the form is extended from
         an integer matrix."""
         return all(
-            all(c == 0 for c in e.coeffs[1:]) for row in self._entries for e in row
+            all(c == 0 for c in e[1:]) for row in self._entries for e in row
         )
 
 
@@ -220,12 +231,13 @@ def form_det(G: HermitianForm) -> LaurentPoly:
 # -- module vectors ----------------------------------------------------------
 
 
-def flatten_vector(vec: Sequence[CyclicElement]) -> Tuple[int, ...]:
-    """Coordinates of sum_i a_i(x) e_i on the transfer basis x^j e_i.
-
-    Index i*n + j holds the coefficient of x^j in a_i, matching ``transfer``.
+def flatten_vector(vec: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """Coordinates of sum_i a_i(x) e_i on the transfer basis x^j e_i, given
+    the coefficient tuples of the a_i reduced mod x^n - 1: their
+    concatenation, so index i*n + j holds the coefficient of x^j in a_i,
+    matching ``transfer``.
     """
-    return tuple(c for a in vec for c in a.coeffs)
+    return tuple(c for a in vec for c in a)
 
 
 # -- restriction of scalars --------------------------------------------------
@@ -243,10 +255,9 @@ def transfer(Gn: CyclicForm) -> GramMatrix:
     n = Gn.n
     rows = []
     for entries in Gn.rows():
-        coeffs = [e.coeffs for e in entries]
         for j in range(n):
             row: List[int] = []
-            for cs in coeffs:
+            for cs in entries:
                 row += cs[n - j :]
                 row += cs[: n - j]
             rows.append(row)
@@ -272,7 +283,7 @@ def transfer_image(Gn: CyclicForm, v: Sequence[int]) -> Tuple[int, ...]:
     for entries in Gn.rows():
         acc = [0] * n
         for i, b in blocks:
-            for k, c in enumerate(entries[i].coeffs):
+            for k, c in enumerate(entries[i]):
                 if c:
                     acc = [s + c * x for s, x in zip(acc, b[k:] + b[:k])]
         image += acc
@@ -292,8 +303,7 @@ def transfer_determinant(G: HermitianForm, n: int) -> int:
     Res(x^n - 1, delta), which `_resultant` computes without forming the
     n x n matrix.  A bad modulus raises ValueError.
     """
-    delta = form_det(G).reduce(n)
-    return _resultant([-1] + [0] * (n - 1) + [1], delta.coeffs)
+    return _resultant([-1] + [0] * (n - 1) + [1], form_det(G).reduce(n))
 
 
 def _strip(p: Sequence[int]) -> List[int]:

@@ -169,8 +169,8 @@ def _json_square(data, size_key: str, rows_key: str) -> list:
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object {shape}")
     size, rows = data.get(size_key), data.get(rows_key)
-    if not _int_type(type(size)):
-        raise ValueError(f'"{size_key}" must be an integer in {shape}')
+    if not _int_type(type(size)) or size < 1:
+        raise ValueError(f'"{size_key}" must be a positive integer in {shape}')
     square = isinstance(rows, list) and len(rows) == size
     if not (square and all(isinstance(row, list) and len(row) == size for row in rows)):
         raise ValueError(f'"{rows_key}" must hold {size} lists of {size} entries')

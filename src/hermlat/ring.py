@@ -1,20 +1,19 @@
-"""Laurent polynomials over the integers and their cyclic quotients.
+"""Laurent polynomials over the integers and their reductions mod x^n - 1.
 
 ``LaurentPoly`` models Z[x, 1/x] with the involution x -> 1/x; it is the
-package's one ring with arithmetic.  ``LaurentPoly.reduce(n)`` is the ring map
-onto the group ring Z[x, 1/x] / (x^n - 1) of a cyclic group of order n, and
-the only way into it: a ``CyclicElement`` is the immutable coefficient vector
-of such a reduction, with the involution but no arithmetic.  An identity over
-Z[C_n] is computed over Z[x, 1/x] and reduced once.  Coefficients, exponents
-and moduli are Python integers: the constructors reject anything else, bools
-included.  Arithmetic takes two Laurent polynomials; an int operand is a
-TypeError.
+package's one ring type.  ``LaurentPoly.reduce(n)`` is the ring map onto the
+group ring Z[x, 1/x] / (x^n - 1) of a cyclic group of order n, and a
+reduction is the plain tuple of its n integer coefficients, index j holding
+that of x^j.  An identity over Z[C_n] is computed over Z[x, 1/x] and
+reduced once.  Coefficients, exponents and moduli are Python integers: the
+constructors reject anything else, bools included.  Arithmetic takes two
+Laurent polynomials; an int operand is a TypeError.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 
 def _int_type(t: type) -> bool:
@@ -123,12 +122,13 @@ class LaurentPoly:
         """Augmentation: evaluate at x = 1."""
         return sum(self._terms.values())
 
-    def reduce(self, n: int) -> "CyclicElement":
-        """Reduce modulo x^n - 1: the ring map onto Z[C_n]."""
+    def reduce(self, n: int) -> Tuple[int, ...]:
+        """Reduce modulo x^n - 1, the ring map onto Z[C_n]: the coefficients
+        of x^0, ..., x^(n-1)."""
         coeffs = [0] * _modulus(n)
         for e, c in self._terms.items():
             coeffs[e % n] += c
-        return CyclicElement(n, coeffs)
+        return tuple(coeffs)
 
     # -- serialization ----------------------------------------------------
 
@@ -168,52 +168,6 @@ def _modulus(n) -> int:
     if n < 1:
         raise ValueError("modulus must be >= 1")
     return n
-
-
-class CyclicElement:
-    """An element of Z[x,1/x] / (x^n - 1), stored as n coefficients: index j
-    holds the coefficient of x^j for j in 0..n-1.  Made by
-    ``LaurentPoly.reduce``; it has the involution but no arithmetic.
-    """
-
-    __slots__ = ("_n", "_coeffs")
-
-    def __init__(self, n: int, coeffs: Iterable[int]):
-        cs = tuple(coeffs)
-        if len(cs) != _modulus(n):
-            raise ValueError(f"expected {n} coefficients, got {len(cs)}")
-        for c in cs:  # as in LaurentPoly: exact ints pass on the first test
-            if type(c) is not int and not _int_type(type(c)):
-                raise ValueError("coefficient must be an integer")
-        self._n = n
-        self._coeffs = cs
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def coeffs(self) -> Tuple[int, ...]:
-        return self._coeffs
-
-    def coeff(self, exp: int) -> int:
-        return self._coeffs[exp % self._n]
-
-    def conj(self) -> "CyclicElement":
-        """The involution x -> x^(n-1) = 1/x."""
-        n = self._n
-        return CyclicElement(n, [self._coeffs[(-j) % n] for j in range(n)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclicElement):
-            return NotImplemented
-        return self._n == other._n and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._coeffs))
-
-    def __repr__(self) -> str:
-        return f"CyclicElement(n={self._n}, coeffs={list(self._coeffs)})"
 
 
 # -- text syntax -----------------------------------------------------------

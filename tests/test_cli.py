@@ -19,7 +19,6 @@ from oracles import apply_basis_change, e8_gram, random_unimodular
 from hermlat.charvec import characteristic_defect, defect_certificate_check, min_characteristic
 from hermlat.forms import CyclicForm, build_form, build_form_power, reduce_form, transfer
 from hermlat.lattice import Budget, GramMatrix, direct_sum, enumerate_short
-from hermlat.ring import CyclicElement
 from hermlat.roots import identity_gram
 
 
@@ -146,6 +145,9 @@ def test_transfer_large_modulus(tmp_path, capsys):
         ("analyze", {"rank": 1, "gram": [1]}),
         ("analyze", {"rank": 2, "gram": ["12", "34"]}),
         ("transfer", {"size": 2, "entries": ["ab", "cd"]}),
+        # a negative size names no shape
+        ("analyze", {"rank": -1, "gram": []}),
+        ("transfer", {"size": -2, "entries": []}),
     ],
 )
 def test_wrong_json_shape_is_a_parse_error(tmp_path, capsys, command, data):
@@ -156,6 +158,7 @@ def test_wrong_json_shape_is_a_parse_error(tmp_path, capsys, command, data):
     assert code == 2 and stdout == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert "not iterable" not in err
+    assert "lists of -" not in err
 
 
 @pytest.mark.parametrize("command", ["transfer", "analyze"])
@@ -563,8 +566,8 @@ def test_verify_paper_tampered_cyclic_form_fails(capsys, monkeypatch):
 
     def tampered(b, n):
         rows = [list(r) for r in real_cyclic(b, n).rows()]
-        c = rows[0][0].coeffs
-        rows[0][0] = CyclicElement(n, (c[0] + 2,) + c[1:])
+        c = rows[0][0]
+        rows[0][0] = (c[0] + 2,) + c[1:]
         return CyclicForm(n, rows)
 
     monkeypatch.setattr(claims, "_cyclic", tampered)

@@ -29,7 +29,7 @@ from hermlat.forms import (
     transfer,
     transfer_determinant,
 )
-from hermlat.ring import CyclicElement, LaurentPoly, parse_laurent, sym_power
+from hermlat.ring import LaurentPoly, parse_laurent, sym_power
 
 t = sym_power(1)
 L = build_form(t)
@@ -70,27 +70,30 @@ def test_hermitian_validation():
 
 def test_form_validation_message_order():
     # the upper entry's own test comes first, then its mirror: a lower entry
-    # of another modulus (or an int) fails the mirror comparison
+    # of another modulus, an int, a list or one with a bool coefficient fails
+    # the mirror test
     one, x = LaurentPoly.one().reduce(3), LaurentPoly.monomial(1).reduce(3)
-    with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
-        CyclicForm(3, [[one, x], [LaurentPoly.monomial(2).reduce(4), one]])
-    with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
-        CyclicForm(3, [[one, x], [1, one]])
+    x_bar = LaurentPoly.monomial(-1).reduce(3)
+    for lower in (LaurentPoly.monomial(2).reduce(4), 1, list(x_bar), (False, False, True)):
+        with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
+            CyclicForm(3, [[one, x], [lower, one]])
     with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
         HermitianForm([[LaurentPoly.one(), LaurentPoly.monomial(1)], [1, LaurentPoly.one()]])
-    with pytest.raises(ValueError, match="entries must share the stated modulus"):
-        CyclicForm(3, [[one, LaurentPoly.monomial(1).reduce(4)], [x.conj(), one]])
+    # a wrong length, a bool coefficient and a list entry fail their own test
+    for upper in (LaurentPoly.monomial(1).reduce(4), (0, True, 0), list(x)):
+        with pytest.raises(ValueError, match="entries must be tuples of n integers"):
+            CyclicForm(3, [[one, upper], [x_bar, one]])
     with pytest.raises(ValueError, match="entries must be LaurentPoly"):
         HermitianForm([[LaurentPoly.one(), 1], [1, LaurentPoly.one()]])
 
 
 def test_form_types_never_compare_equal():
     G = HermitianForm([[LaurentPoly.const(2)]])
-    Gn = CyclicForm(1, [[CyclicElement(1, [2])]])
+    Gn = CyclicForm(1, [[(2,)]])
     assert G != Gn and Gn != G
     assert G == HermitianForm([[LaurentPoly.const(2)]])
-    assert Gn == CyclicForm(1, [[CyclicElement(1, [2])]])
-    assert Gn != CyclicForm(2, [[CyclicElement(2, [2, 0])]])
+    assert Gn == CyclicForm(1, [[(2,)]])
+    assert Gn != CyclicForm(2, [[(2, 0)]])
 
 
 def test_b_sequence():
@@ -134,8 +137,8 @@ def test_aug_form():
 def test_reduce_form():
     R1 = reduce_form(L, 1)
     assert R1.is_constant()
-    assert tuple(tuple(R1.rows()[i][j].coeff(0) for j in range(4)) for i in range(4)) == L1_MATRIX
-    assert reduce_form(L, 2).rows()[0][0].coeffs == (5, 2)
+    assert tuple(tuple(R1.rows()[i][j][0] for j in range(4)) for i in range(4)) == L1_MATRIX
+    assert reduce_form(L, 2).rows()[0][0] == (5, 2)
     for k in (1, 2, 3):
         assert reduce_form(build_form_power(k), b_sequence(k)).is_constant()
     assert not reduce_form(build_form_power(2), 3).is_constant()
@@ -160,7 +163,7 @@ def test_sesq_eval_norm_element_absorption():
     Nv = [zero, zero, N, N]
     e1 = module_basis_vector(4, 0)
     base = sesq_eval(L, v, e1)
-    assert sesq_eval(L, Nv, e1).reduce(n).coeffs == (base.aug(),) * n
+    assert sesq_eval(L, Nv, e1).reduce(n) == (base.aug(),) * n
 
 
 def test_transfer_matches_sesq_pi():
@@ -174,7 +177,7 @@ def test_transfer_matches_sesq_pi():
                 for j2 in range(n):
                     u = module_basis_vector(4, i, j)
                     v = module_basis_vector(4, i2, j2)
-                    assert G.gram[i * n + j][i2 * n + j2] == sesq_eval(L, u, v).reduce(n).coeff(0)
+                    assert G.gram[i * n + j][i2 * n + j2] == sesq_eval(L, u, v).reduce(n)[0]
 
 
 def test_transfer_small_n():
@@ -193,7 +196,7 @@ def test_transfer_at_constant_form_is_block_identity():
         for i2 in range(4):
             for j in range(n):
                 for j2 in range(n):
-                    want = Rn.rows()[i][i2].coeff(0) if j == j2 else 0
+                    want = Rn.rows()[i][i2][0] if j == j2 else 0
                     assert G.gram[i * n + j][i2 * n + j2] == want
 
 
@@ -288,7 +291,7 @@ def test_transfer_matches_sesq_pi_on_random_forms(G, n):
     assert T.rank == m * n
     for a, u in enumerate(basis):
         for b, v in enumerate(basis):
-            assert T.gram[a][b] == sesq_eval(G, u, v).reduce(n).coeff(0)
+            assert T.gram[a][b] == sesq_eval(G, u, v).reduce(n)[0]
 
 
 def _poly_mul(p, q):
@@ -340,7 +343,7 @@ def test_transfer_determinant_dense_large_modulus(n):
     c = [k * (n - k) % 7 - 2 for k in range(n)]
     h = (n - 1) // 2
     G = HermitianForm([[LaurentPoly({k: c[k % n] for k in range(-h, h + 1)})]])
-    assert G.rows()[0][0].reduce(n).coeffs == tuple(c)
+    assert G.rows()[0][0].reduce(n) == tuple(c)
     det = transfer_determinant(G, n)
     assert det == frac_det(transfer(reduce_form(G, n)).gram)
     assert len(str(abs(det))) > 20

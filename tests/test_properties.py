@@ -69,12 +69,13 @@ def test_ring_laws(p, q, n):
     assert p.conj().coeff(0) == p.coeff(0)
     # reduction mod x^n - 1 is a ring map: a sum or product reduces to what
     # the reductions of its operands, lifted back to x^0..x^(n-1), give
-    lift = lambda c: LaurentPoly(dict(enumerate(c.coeffs)))
+    lift = lambda c: LaurentPoly(dict(enumerate(c)))
     pn, qn = lift(p.reduce(n)), lift(q.reduce(n))
     assert (p + q).reduce(n) == (pn + qn).reduce(n)
     assert (p * q).reduce(n) == (pn * qn).reduce(n)
-    assert sum(p.reduce(n).coeffs) == p.aug()
-    assert p.reduce(n).conj() == p.conj().reduce(n)
+    assert sum(p.reduce(n)) == p.aug()
+    # and the involution: coefficient j of conj(p) is that of x^((-j) mod n)
+    assert tuple(p.reduce(n)[-j % n] for j in range(n)) == p.conj().reduce(n)
     assert parse_laurent(format_laurent(p)) == p
 
 

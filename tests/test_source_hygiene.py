@@ -1,8 +1,9 @@
 """Static checks over the package sources: unused imports, parameters and
 private definitions, bool mode flags, rationals and dataclasses, the one
-integer test, the one node budget per command, the one ring with arithmetic,
-which modules import the form layer, plus what importing the CLI loads and
-whether every hermlat name the benchmark reads exists."""
+integer test, the one node budget per command, the one ring type with
+reductions as plain coefficient tuples, which modules import the form
+layer, plus what importing the CLI loads and whether every hermlat name the
+benchmark reads exists."""
 
 import ast
 import importlib
@@ -314,24 +315,29 @@ def test_one_budget_per_command():
     assert found == []
 
 
-def test_group_ring_arithmetic_is_laurent():
-    # group-ring identities are computed over Z[x,1/x] and reduced once: a
-    # CyclicElement defines no arithmetic, and only ring.py (through
-    # LaurentPoly.reduce) makes one
-    ring_ops = {
-        "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
-        "__rmul__", "__pow__", "zero", "one", "monomial", "aug",
-    }
+def test_reductions_are_plain_tuples():
+    # ring.py defines one class, LaurentPoly: a reduction mod x^n - 1 is the
+    # tuple of its coefficients, with no wrapper type.  A tuple concatenates
+    # under + and repeats under *, so no +, - or * (nor its augmented
+    # assignment) takes a .reduce(...) call as an operand: group-ring
+    # arithmetic is done over Z[x,1/x] before reducing
+    ring = _tree(Path(hermlat.__file__).parent / "ring.py")
+    assert [node.name for node in ast.walk(ring) if isinstance(node, ast.ClassDef)] == ["LaurentPoly"]
+    assert not hasattr(hermlat, "CyclicElement")
+
+    def reduced(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "reduce"
+
+    ops = (ast.Add, ast.Sub, ast.Mult)
     found = []
     for path in MODULES:
         for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.ClassDef) and node.name == "CyclicElement":
-                found += [
-                    f"{path.name}:{d.lineno} CyclicElement.{d.name}"
-                    for d in node.body
-                    if isinstance(d, ast.FunctionDef) and d.name in ring_ops
-                ]
-            elif isinstance(node, ast.Call) and _called(node) == "CyclicElement":
-                if path.name != "ring.py":
-                    found.append(f"{path.name}:{node.lineno} CyclicElement(...)")
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ops):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ops):
+                operands = (node.target, node.value)
+            else:
+                continue
+            if any(map(reduced, operands)):
+                found.append(f"{path.name}:{node.lineno} arithmetic on a reduction")
     assert found == []
