@@ -19,9 +19,7 @@ from hermlat.charvec import (
     witness_vector,
 )
 from hermlat.forms import (
-    CyclicForm,
     HermitianForm,
-    aug_form,
     b_sequence,
     build_form,
     build_form_power,

@@ -18,13 +18,15 @@ Math. Res. Lett. 2, 1995), and up to rank 16 the root system names the
 lattice (`identify`, SPLAG ch. 16, Table 16.7).
 Claims on the moduli up to 30, and the multiplier claims at moduli up to 86,
 use closed-form witnesses that integer arithmetic re-checks instead, on the
-cyclic form (`_cyclic`) through `transfer_image`: no rank-4n Gram is built
-for them.  Their characteristic test, `_transfer_characteristic_norm`,
-reads charvec's one parity-and-norm rule off the product G w that
-`transfer_image` takes from the cyclic form itself, with the transfer's
-diagonal read off the form's.  Only the enumeration claims (moduli up to
---max-n) and the Dynkin check at modulus 4 form the dense transfer `_vn`;
-that check's two D8 batches (`v4_root_batches`) are built here as well.
+form reduced mod x^n - 1 (`_cyclic`, a matrix of coefficient tuples) through
+`transfer_image`: no rank-4n Gram is built for them.  Their characteristic
+test, `_transfer_characteristic_norm`, reads charvec's one parity-and-norm
+rule off the product G w that `transfer_image` takes from the reduction
+itself, with the transfer's diagonal read off the reduction's.  Only the
+enumeration claims (moduli up to --max-n), the augmentation of the
+first-power form (the transfer at modulus 1) and the Dynkin check at
+modulus 4 form the dense transfer `_vn`; that check's two D8 batches
+(`v4_root_batches`) are built here as well.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ from hermlat.charvec import (
     witness_vector,
 )
 from hermlat.forms import (
-    CyclicForm,
     HermitianForm,
-    aug_form,
     b_sequence,
     build_form,
     build_form_power,
@@ -80,8 +80,8 @@ def _form(b: int) -> HermitianForm:
 
 
 @lru_cache(maxsize=None)
-def _cyclic(b: int, n: int) -> CyclicForm:
-    """`_form(b)` reduced modulo x^n - 1."""
+def _cyclic(b: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """`_form(b)` reduced modulo x^n - 1: its matrix of coefficient tuples."""
     return reduce_form(_form(b), n)
 
 
@@ -102,20 +102,23 @@ def _standard(G: GramMatrix, defect: DefectReport, roots: RootSystemReport) -> d
     return {"standard": std, "certificate_ok": std and check_orthonormal_certificate(G, cert)}
 
 
-def _transfer_characteristic_norm(Gn: CyclicForm, w: Sequence[int]) -> Optional[int]:
+def _transfer_characteristic_norm(
+    Gn: Sequence[Sequence[Tuple[int, ...]]], w: Sequence[int]
+) -> Optional[int]:
     """`_characteristic_norm(transfer(Gn), w)` without forming the transfer:
     the product is `transfer_image(Gn, w)`, and diagonal entry i*n + j of the
     transfer is the constant coefficient of Gn[i][i]."""
-    n = Gn.n
-    diagonal = [row[i][0] for i, row in enumerate(Gn.rows()) for _ in range(n)]
+    n = len(Gn[0][0])
+    diagonal = [row[i][0] for i, row in enumerate(Gn) for _ in range(n)]
     return _norm_if_characteristic(transfer_image(Gn, w), diagonal, w)
 
 
-def _witness_holds(Gn: CyclicForm, w: Sequence[int], target: int) -> bool:
+def _witness_holds(Gn: Sequence[Sequence[Tuple[int, ...]]], w: Sequence[int], target: int) -> bool:
     """w is characteristic of norm target < rank in transfer(Gn), so it
     certifies defect >= (rank - target) // 8 (`defect_certificate_check`),
-    from one product `transfer_image(Gn, w)`."""
-    return _transfer_characteristic_norm(Gn, w) == target < Gn.size * Gn.n
+    from one product `transfer_image(Gn, w)`, which checks that the rank is
+    len(w)."""
+    return _transfer_characteristic_norm(Gn, w) == target < len(w)
 
 
 def _range_claim(
@@ -232,7 +235,7 @@ def _specific(b: int) -> dict:
 def _distinguishing() -> dict:
     for k in (1, 2, 3):
         bk = b_sequence(k)
-        if not _cyclic(bk, bk).is_constant():
+        if any(any(e[1:]) for row in _cyclic(bk, bk) for e in row):
             return {"checked": f"power {k} not constant at its modulus", "all": False}
         for j in range(1, k):
             bj = b_sequence(j)
@@ -264,7 +267,7 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
             "construction-aug-matrix",
             "augmentation of the first-power form",
             [[7, 6, 3, 2], [6, 7, 2, 3], [3, 2, 2, 0], [2, 3, 0, 2]],
-            lambda: [list(row) for row in aug_form(build_form_power(1)).gram],
+            lambda: [list(row) for row in _vn(1).gram],
         ),
         (
             "construction-det-one",

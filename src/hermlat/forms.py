@@ -1,11 +1,12 @@
-"""Hermitian forms over the Laurent ring and over cyclic group rings.
+"""Hermitian forms over the Laurent ring and their reductions mod x^n - 1.
 
-A form is a square matrix G with entries in Z[x,1/x] (``HermitianForm``) or in
-Z[x,1/x]/(x^n - 1) (``CyclicForm``, whose entries are the coefficient tuples
-that `LaurentPoly.reduce` returns) satisfying G[j][i] = conj(G[i][j]).  Both
-types validate that once, in their private base ``_Form``, which also owns
-their size, rows and equality; a form file is read by `lattice._json_square`,
-the reader of the Gram files too.  The pairing convention throughout is
+A form is a square matrix G over Z[x,1/x] with G[j][i] = conj(G[i][j])
+(``HermitianForm``, the one form type); a form file is read by
+`lattice._json_square`, the reader of the Gram files too.  Its reduction
+``reduce_form(G, n)`` is the plain matrix of the coefficient tuples that
+`LaurentPoly.reduce(n)` returns, index j of an entry holding the coefficient
+of x^j.  Reduction commutes with conj, so that matrix is hermitian because G
+is, and nothing checks it again.  The pairing convention throughout is
 
     <u, v> = sum_ij u_i * G[i][j] * conj(v_j)
 
@@ -14,20 +15,19 @@ linear in the first slot and conjugate-linear in the second, so that
 `_form_gram`, one product G conj(v) per vector, and the rational congruence
 Q G conj(Q)^T of `rational_congruence_check` is the Gram matrix of Q's rows.
 
-``transfer`` restricts scalars: a rank-m form over the modulus-n group ring
-becomes a rank m*n integer symmetric matrix on the basis x^j e_i, ordered
+``transfer`` restricts scalars: a rank-m reduction mod x^n - 1 becomes a
+rank m*n integer symmetric matrix on the basis x^j e_i, ordered
 lexicographically with i outermost and j = 0..n-1 innermost, so index
 i*n + j meets index i'*n + j' in the coefficient of x^((j'-j) mod n) of
 G[i][i'].  ``transfer_image`` returns the product transfer(G) v in that
 convention without forming the matrix: block i of the image is
 sum_i' sum_k G[i][i'][k] * rot_left(v_i', k), which touches only the nonzero
 coefficients of each entry, O(n) work per coefficient instead of O((m*n)^2)
-for the dense product.
+for the dense product.  Both read n as the length of an entry.
 
-Arithmetic runs over Z[x,1/x] alone: a cyclic form is only read, never
-computed with, and its involution x^j -> x^(n-j) is `CyclicForm._conj`.
-``form_det`` uses Berkowitz's algorithm, which never divides: Bareiss would
-need exact division in Z[x,1/x], which the package lacks.
+Arithmetic runs over Z[x,1/x] alone: a reduction is only read, never
+computed with.  ``form_det`` uses Berkowitz's algorithm, which never divides:
+Bareiss would need exact division in Z[x,1/x], which the package lacks.
 Reduction mod x^n - 1 is a ring map, so it commutes with det, and
 ``transfer_determinant`` takes the norm of the reduced determinant, the
 resultant Res(x^n - 1, delta), which equals det transfer(G) without forming
@@ -41,18 +41,17 @@ from operator import mul
 from typing import List, Sequence, Tuple
 
 from hermlat.lattice import GramMatrix, _json_square
-from hermlat.ring import LaurentPoly, _int_type, _modulus, sym_power
+from hermlat.ring import LaurentPoly, sym_power
 
 
-class _Form:
-    """The validation, size, rows and equality of both form types.  In row
-    order over the upper triangle, each entry must pass the subclass's
-    `_entry_ok` (else ValueError(`_entry_error`)) and its mirror must be its
-    `_conj` and pass `_entry_ok` too, which a bad lower entry fails."""
+class HermitianForm:
+    """Square matrix over Z[x,1/x] with G[j][i] = conj(G[i][j]).  In row
+    order over the upper triangle, each entry must be a LaurentPoly and its
+    mirror must be its conjugate."""
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: Sequence[Sequence]):
+    def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
         rows = tuple(tuple(row) for row in entries)
         m = len(rows)
         if m < 1:
@@ -61,10 +60,9 @@ class _Form:
             raise ValueError("entries must form a square matrix")
         for i in range(m):
             for j in range(i, m):
-                if not self._entry_ok(rows[i][j]):
-                    raise ValueError(self._entry_error)
-                mirror = rows[j][i]
-                if mirror != self._conj(rows[i][j]) or not self._entry_ok(mirror):
+                if not isinstance(rows[i][j], LaurentPoly):
+                    raise ValueError("entries must be LaurentPoly")
+                if rows[j][i] != rows[i][j].conj():
                     raise ValueError(f"not hermitian at ({i},{j})")
         self._entries = rows
 
@@ -72,25 +70,13 @@ class _Form:
     def size(self) -> int:
         return len(self._entries)
 
-    def rows(self) -> Tuple[Tuple, ...]:
+    def rows(self) -> Tuple[Tuple[LaurentPoly, ...], ...]:
         return self._entries
 
     def __eq__(self, other) -> bool:
-        # equal cyclic entries have the same length n, so no separate n test
-        if type(other) is not type(self):
+        if not isinstance(other, HermitianForm):
             return NotImplemented
         return self._entries == other._entries
-
-
-class HermitianForm(_Form):
-    """Square matrix over Z[x,1/x] with G[j][i] = conj(G[i][j])."""
-
-    __slots__ = ()
-    _entry_error = "entries must be LaurentPoly"
-    _conj = staticmethod(LaurentPoly.conj)
-
-    def _entry_ok(self, e) -> bool:
-        return isinstance(e, LaurentPoly)
 
     def __repr__(self) -> str:
         return f"HermitianForm(size={self.size})"
@@ -105,41 +91,6 @@ class HermitianForm(_Form):
     def from_json_dict(cls, data: dict) -> "HermitianForm":
         rows = _json_square(data, "size", "entries")
         return cls([list(map(LaurentPoly.from_json_dict, row)) for row in rows])
-
-
-class CyclicForm(_Form):
-    """Square hermitian matrix over the modulus-n group ring.  Each entry is
-    a tuple of n ints, index j holding the coefficient of x^j, as
-    `LaurentPoly.reduce(n)` returns it."""
-
-    __slots__ = ("_n",)
-    _entry_error = "entries must be tuples of n integers"
-
-    def __init__(self, n: int, entries: Sequence[Sequence[Tuple[int, ...]]]):
-        self._n = _modulus(n)
-        super().__init__(entries)
-
-    def _entry_ok(self, e) -> bool:
-        return isinstance(e, tuple) and len(e) == self._n and all(_int_type(type(c)) for c in e)
-
-    @staticmethod
-    def _conj(e: Tuple[int, ...]) -> Tuple[int, ...]:
-        """The involution x^j -> x^(n-j) on a coefficient tuple."""
-        return e[:1] + e[:0:-1]
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    def __repr__(self) -> str:
-        return f"CyclicForm(size={self.size}, n={self._n})"
-
-    def is_constant(self) -> bool:
-        """True when every entry lies in Z*1, i.e. the form is extended from
-        an integer matrix."""
-        return all(
-            all(c == 0 for c in e[1:]) for row in self._entries for e in row
-        )
 
 
 # -- the rank-4 family -------------------------------------------------------
@@ -192,14 +143,11 @@ def build_form_power(k: int) -> HermitianForm:
     return build_form(sym_power(b_sequence(k)))
 
 
-def reduce_form(G: HermitianForm, n: int) -> CyclicForm:
-    """Reduce every entry modulo x^n - 1."""
-    return CyclicForm(n, [[e.reduce(n) for e in row] for row in G.rows()])
-
-
-def aug_form(G: HermitianForm) -> GramMatrix:
-    """Evaluate every entry at x = 1 (an integer symmetric matrix)."""
-    return GramMatrix([[e.aug() for e in row] for row in G.rows()])
+def reduce_form(G: HermitianForm, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """Reduce every entry modulo x^n - 1: the matrix of the coefficient
+    tuples `e.reduce(n)`, hermitian because G is.  A bad modulus raises
+    ValueError."""
+    return tuple(tuple(e.reduce(n) for e in row) for row in G.rows())
 
 
 def form_det(G: HermitianForm) -> LaurentPoly:
@@ -243,18 +191,20 @@ def flatten_vector(vec: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
 # -- restriction of scalars --------------------------------------------------
 
 
-def transfer(Gn: CyclicForm) -> GramMatrix:
-    """Rank m*n integer Gram of the form viewed as a lattice over Z.
+def transfer(Gn: Sequence[Sequence[Tuple[int, ...]]]) -> GramMatrix:
+    """Rank m*n integer Gram of the reduction Gn = `reduce_form(G, n)`
+    viewed as a lattice over Z.
 
     Row (i, j) and column (i', j') meet in the coefficient of x^((j'-j) mod n)
     of G[i][i'], which is the integer pairing (x^j e_i, x^j' e_i').  So the
     block of row (i, j) under column block i' is the coefficient tuple of
     G[i][i'] rotated right by j, and each row is built from m such slices,
-    never one entry at a time.
+    never one entry at a time.  The Gram is symmetric exactly when Gn is
+    hermitian, so `GramMatrix` rejects a Gn that is not.
     """
-    n = Gn.n
+    n = len(Gn[0][0])
     rows = []
-    for entries in Gn.rows():
+    for entries in Gn:
         for j in range(n):
             row: List[int] = []
             for cs in entries:
@@ -264,7 +214,7 @@ def transfer(Gn: CyclicForm) -> GramMatrix:
     return GramMatrix(rows)
 
 
-def transfer_image(Gn: CyclicForm, v: Sequence[int]) -> Tuple[int, ...]:
+def transfer_image(Gn: Sequence[Sequence[Tuple[int, ...]]], v: Sequence[int]) -> Tuple[int, ...]:
     """transfer(Gn) v without forming transfer(Gn).
 
     Entry (i*n + j, i'*n + j') of the transfer is g[k] for g = G[i][i'] and
@@ -274,13 +224,13 @@ def transfer_image(Gn: CyclicForm, v: Sequence[int]) -> Tuple[int, ...]:
     Blocks of v that are all zero are skipped.  A vector whose length is not
     m*n raises ValueError.
     """
-    n = Gn.n
-    if len(v) != Gn.size * n:
+    n = len(Gn[0][0])
+    if len(v) != len(Gn) * n:
         raise ValueError("vector length must match rank")
-    blocks = [(i, v[i * n : i * n + n]) for i in range(Gn.size)]
+    blocks = [(i, v[i * n : i * n + n]) for i in range(len(Gn))]
     blocks = [(i, b) for i, b in blocks if any(b)]
     image: List[int] = []
-    for entries in Gn.rows():
+    for entries in Gn:
         acc = [0] * n
         for i, b in blocks:
             for k, c in enumerate(entries[i]):

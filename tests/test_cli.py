@@ -17,7 +17,7 @@ import hermlat.lattice as lattice
 import hermlat.roots as roots
 from oracles import apply_basis_change, e8_gram, random_unimodular
 from hermlat.charvec import characteristic_defect, defect_certificate_check, min_characteristic
-from hermlat.forms import CyclicForm, build_form, build_form_power, reduce_form, transfer
+from hermlat.forms import build_form, build_form_power, reduce_form, transfer
 from hermlat.lattice import Budget, GramMatrix, direct_sum, enumerate_short
 from hermlat.roots import identity_gram
 
@@ -565,10 +565,10 @@ def test_verify_paper_tampered_cyclic_form_fails(capsys, monkeypatch):
     real_cyclic = claims._cyclic
 
     def tampered(b, n):
-        rows = [list(r) for r in real_cyclic(b, n).rows()]
+        rows = [list(r) for r in real_cyclic(b, n)]
         c = rows[0][0]
         rows[0][0] = (c[0] + 2,) + c[1:]
-        return CyclicForm(n, rows)
+        return tuple(map(tuple, rows))
 
     monkeypatch.setattr(claims, "_cyclic", tampered)
     monkeypatch.setattr(claims, "_vn", lambda n: transfer(real_cyclic(1, n)))
@@ -596,7 +596,7 @@ def test_verify_paper_forms_dense_transfers_only_up_to_max_n(capsys, monkeypatch
     moduli = []
 
     def spy(Gn):
-        moduli.append(Gn.n)
+        moduli.append(len(Gn[0][0]))
         return transfer(Gn)
 
     monkeypatch.setattr(claims, "transfer", spy)

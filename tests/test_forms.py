@@ -1,5 +1,8 @@
 """The rank-4 hermitian family, reduction, and the scalar-restriction map."""
 
+from functools import reduce
+from math import gcd
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,9 +18,7 @@ from oracles import (
 from hermlat import forms
 from hermlat.forms import (
     _resultant,
-    CyclicForm,
     HermitianForm,
-    aug_form,
     b_sequence,
     build_form,
     build_form_power,
@@ -29,6 +30,7 @@ from hermlat.forms import (
     transfer,
     transfer_determinant,
 )
+from hermlat.lattice import direct_sum
 from hermlat.ring import LaurentPoly, parse_laurent, sym_power
 
 t = sym_power(1)
@@ -64,36 +66,30 @@ def test_hermitian_validation():
         HermitianForm(bad)
     with pytest.raises(ValueError):
         HermitianForm([])
-    with pytest.raises(ValueError):
-        CyclicForm(3, [])
 
 
 def test_form_validation_message_order():
     # the upper entry's own test comes first, then its mirror: a lower entry
-    # of another modulus, an int, a list or one with a bool coefficient fails
-    # the mirror test
-    one, x = LaurentPoly.one().reduce(3), LaurentPoly.monomial(1).reduce(3)
-    x_bar = LaurentPoly.monomial(-1).reduce(3)
-    for lower in (LaurentPoly.monomial(2).reduce(4), 1, list(x_bar), (False, False, True)):
+    # that is an int, a reduction or the entry itself unconjugated fails the
+    # mirror test
+    one, x = LaurentPoly.one(), LaurentPoly.monomial(1)
+    for lower in (1, x.conj().reduce(3), x):
         with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
-            CyclicForm(3, [[one, x], [lower, one]])
-    with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
-        HermitianForm([[LaurentPoly.one(), LaurentPoly.monomial(1)], [1, LaurentPoly.one()]])
-    # a wrong length, a bool coefficient and a list entry fail their own test
-    for upper in (LaurentPoly.monomial(1).reduce(4), (0, True, 0), list(x)):
-        with pytest.raises(ValueError, match="entries must be tuples of n integers"):
-            CyclicForm(3, [[one, upper], [x_bar, one]])
-    with pytest.raises(ValueError, match="entries must be LaurentPoly"):
-        HermitianForm([[LaurentPoly.one(), 1], [1, LaurentPoly.one()]])
+            HermitianForm([[one, x], [lower, one]])
+    # an int or a reduction as an upper entry fails its own test
+    for upper in (1, x.reduce(3)):
+        with pytest.raises(ValueError, match="entries must be LaurentPoly"):
+            HermitianForm([[one, upper], [1, one]])
 
 
 def test_form_types_never_compare_equal():
+    # a form never equals its reduction, which is a plain matrix of tuples
     G = HermitianForm([[LaurentPoly.const(2)]])
-    Gn = CyclicForm(1, [[(2,)]])
+    Gn = reduce_form(G, 1)
+    assert Gn == (((2,),),)
     assert G != Gn and Gn != G
     assert G == HermitianForm([[LaurentPoly.const(2)]])
-    assert Gn == CyclicForm(1, [[(2,)]])
-    assert Gn != CyclicForm(2, [[(2, 0)]])
+    assert G != HermitianForm([[LaurentPoly.const(3)]])
 
 
 def test_b_sequence():
@@ -126,22 +122,32 @@ def test_det_symbolic_oracle():
     assert symbolic_family_det() == [1]
 
 
+def is_constant(R) -> bool:
+    """True when every entry of a reduction lies in Z*1, i.e. the form is
+    extended from an integer matrix."""
+    return not any(any(e[1:]) for row in R for e in row)
+
+
 def test_aug_form():
-    assert aug_form(L).gram == L1_MATRIX
+    # the augmentation, every entry evaluated at x = 1, is the transfer at n = 1
+    def aug(F):
+        return transfer(reduce_form(F, 1)).gram
+
+    assert aug(L) == L1_MATRIX
     F0 = build_form(LaurentPoly.zero())
-    assert aug_form(F0).gram == ((1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 2, 0), (0, 1, 0, 2))
+    assert aug(F0) == ((1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 2, 0), (0, 1, 0, 2))
     for k in (1, 2, 3):
-        assert aug_form(build_form_power(k)).gram == L1_MATRIX
+        assert aug(build_form_power(k)) == L1_MATRIX
 
 
 def test_reduce_form():
     R1 = reduce_form(L, 1)
-    assert R1.is_constant()
-    assert tuple(tuple(R1.rows()[i][j][0] for j in range(4)) for i in range(4)) == L1_MATRIX
-    assert reduce_form(L, 2).rows()[0][0] == (5, 2)
+    assert is_constant(R1)
+    assert tuple(tuple(R1[i][j][0] for j in range(4)) for i in range(4)) == L1_MATRIX
+    assert reduce_form(L, 2)[0][0] == (5, 2)
     for k in (1, 2, 3):
-        assert reduce_form(build_form_power(k), b_sequence(k)).is_constant()
-    assert not reduce_form(build_form_power(2), 3).is_constant()
+        assert is_constant(reduce_form(build_form_power(k), b_sequence(k)))
+    assert not is_constant(reduce_form(build_form_power(2), 3))
 
 
 def test_sesq_eval_convention():
@@ -191,13 +197,36 @@ def test_transfer_at_constant_form_is_block_identity():
     Rn = reduce_form(build_form_power(2), b_sequence(2))
     G = transfer(Rn)
     n = b_sequence(2)
-    assert Rn.is_constant()
+    assert is_constant(Rn)
     for i in range(4):
         for i2 in range(4):
             for j in range(n):
                 for j2 in range(n):
-                    want = Rn.rows()[i][i2][0] if j == j2 else 0
+                    want = Rn[i][i2][0] if j == j2 else 0
                     assert G.gram[i * n + j][i2 * n + j2] == want
+
+
+def test_transfer_rejects_a_non_hermitian_reduction():
+    # the Gram of a reduction is symmetric exactly when the reduction is
+    # hermitian: x sits above the diagonal and 0 below it
+    with pytest.raises(ValueError, match=r"asymmetric at"):
+        transfer((((1, 0), (0, 1)), ((0, 0), (1, 0))))
+
+
+def test_family_reduction_is_a_direct_sum_of_first_power_transfers():
+    # with g = gcd(b, n) and m = n / g, the form at a = x^b + x^-b reduced
+    # mod x^n - 1 is g copies of the first-power form reduced mod x^m - 1:
+    # z^t e_i of copy r goes to x^(r + b t) e_i, so index r*4m + i*m + t of
+    # the direct sum is index i*n + (r + b t) mod n of the transfer
+    for n in range(1, 13):
+        for b in range(1, 3 * n + 2):
+            g = gcd(b, n)
+            m = n // g
+            G = transfer(reduce_form(build_form(sym_power(b)), n)).gram
+            V = reduce(direct_sum, [transfer(reduce_form(build_form_power(1), m))] * g)
+            perm = [i * n + (r + b * t) % n for r in range(g) for i in range(4) for t in range(m)]
+            assert sorted(perm) == list(range(4 * n))
+            assert tuple(tuple(G[p][q] for q in perm) for p in perm) == V.gram, (b, n)
 
 
 def test_flatten_vector():

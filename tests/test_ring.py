@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hermlat.charvec import wa_norm, witness_vector
-from hermlat.forms import CyclicForm, build_form, reduce_form
+from hermlat.forms import build_form, reduce_form, transfer
 from hermlat.ring import LaurentPoly, format_laurent, parse_laurent, sym_power
 
 x = LaurentPoly.monomial(1)
@@ -40,8 +40,9 @@ def test_coefficients_must_be_integers():
             LaurentPoly({0: bad})
         with pytest.raises(ValueError):
             LaurentPoly({bad: 3})
-        with pytest.raises(ValueError, match="entries must be tuples of n integers"):
-            CyclicForm(2, [[(bad, 0)]])
+        # nor of a reduction: its transfer refuses it
+        with pytest.raises(ValueError, match="gram entries must be integers"):
+            transfer((((bad, 0),),))
 
 
 def test_ints_do_not_mix_with_ring_elements():
@@ -114,10 +115,10 @@ def test_reduce_is_ring_hom():
     pn, one = p.reduce(n), LaurentPoly.one().reduce(n)
     assert sum(pn) == p.aug()
     assert cyclic_conj(pn) == p.conj().reduce(n)
-    # CyclicForm's mirror check applies the same involution
-    CyclicForm(n, [[one, pn], [p.conj().reduce(n), one]])
-    with pytest.raises(ValueError, match=r"not hermitian at \(0,1\)"):
-        CyclicForm(n, [[one, pn], [pn, one]])
+    # the transfer is symmetric exactly when the mirror is that involution
+    transfer(((one, pn), (p.conj().reduce(n), one)))
+    with pytest.raises(ValueError, match=r"asymmetric at"):
+        transfer(((one, pn), (pn, one)))
 
 
 def test_norm_element_absorbs():
@@ -129,15 +130,16 @@ def test_norm_element_absorbs():
 
 def test_cyclic_conj_fixed_pointwise_at_n2():
     # at n = 2, x^-1 = x: every entry is self-conjugate, so (5, 2) may sit
-    # on the diagonal of a cyclic form
-    assert CyclicForm(2, [[(5, 2)]]).rows() == (((5, 2),),)
-    with pytest.raises(ValueError, match=r"not hermitian at \(0,0\)"):
-        CyclicForm(3, [[(5, 2, 0)]])
+    # on the diagonal of a reduction; at n = 3, (5, 2, 0) may not
+    assert cyclic_conj((5, 2)) == (5, 2)
+    assert transfer((((5, 2),),)).gram == ((5, 2), (2, 5))
+    assert cyclic_conj((5, 2, 0)) != (5, 2, 0)
+    with pytest.raises(ValueError, match=r"asymmetric at"):
+        transfer((((5, 2, 0),),))
 
 
 MODULUS_TAKERS = {
     "reduce": lambda n: LaurentPoly({1: 1}).reduce(n),
-    "CyclicForm": lambda n: CyclicForm(n, [[(2,)]]),
     "reduce_form": lambda n: reduce_form(build_form(sym_power(1)), n),
     "witness_vector": lambda n: witness_vector(n, ()),
     "wa_norm": lambda n: wa_norm(n, (1,)),

@@ -1,9 +1,9 @@
 """Static checks over the package sources: unused imports, parameters and
 private definitions, bool mode flags, rationals and dataclasses, the one
-integer test, the one node budget per command, the one ring type with
-reductions as plain coefficient tuples, which modules import the form
-layer, plus what importing the CLI loads and whether every hermlat name the
-benchmark reads exists."""
+integer test, the one node budget per command, the one ring type and the
+one form type with reductions as plain coefficient tuples, which modules
+import the form layer, plus what importing the CLI loads and whether every
+hermlat name the benchmark reads exists."""
 
 import ast
 import importlib
@@ -14,6 +14,7 @@ import types
 from pathlib import Path
 
 import hermlat
+from hermlat import forms
 
 MODULES = sorted(Path(hermlat.__file__).parent.glob("*.py"))
 
@@ -316,14 +317,24 @@ def test_one_budget_per_command():
 
 
 def test_reductions_are_plain_tuples():
-    # ring.py defines one class, LaurentPoly: a reduction mod x^n - 1 is the
-    # tuple of its coefficients, with no wrapper type.  A tuple concatenates
-    # under + and repeats under *, so no +, - or * (nor its augmented
-    # assignment) takes a .reduce(...) call as an operand: group-ring
-    # arithmetic is done over Z[x,1/x] before reducing
-    ring = _tree(Path(hermlat.__file__).parent / "ring.py")
-    assert [node.name for node in ast.walk(ring) if isinstance(node, ast.ClassDef)] == ["LaurentPoly"]
-    assert not hasattr(hermlat, "CyclicElement")
+    # ring.py defines one class, LaurentPoly, and forms.py one, HermitianForm:
+    # a reduction mod x^n - 1 is the tuple of its coefficients, and a reduced
+    # form the matrix of those tuples, with no wrapper type.  A tuple
+    # concatenates under + and repeats under *, so no +, - or * (nor its
+    # augmented assignment) takes a .reduce(...) call as an operand:
+    # group-ring arithmetic is done over Z[x,1/x] before reducing
+    package = Path(hermlat.__file__).parent
+    for module, only in (("ring.py", "LaurentPoly"), ("forms.py", "HermitianForm")):
+        tree = _tree(package / module)
+        assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == [only]
+    for gone in ("CyclicElement", "CyclicForm", "aug_form"):
+        assert not hasattr(hermlat, gone)
+        assert all(gone not in path.read_text(encoding="utf-8") for path in MODULES)
+    Gn = forms.reduce_form(forms.build_form_power(1), 3)
+    assert type(Gn) is tuple and len(Gn) == 4
+    for row in Gn:
+        assert type(row) is tuple and len(row) == 4
+        assert all(type(e) is tuple and len(e) == 3 and all(type(c) is int for c in e) for e in row)
 
     def reduced(node):
         return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "reduce"
