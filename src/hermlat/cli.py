@@ -11,6 +11,13 @@ Exit codes: 0 success, 1 verification failure, 2 I/O or parse error,
 
 Two runs with the same flags write identical bytes to stdout; timing
 diagnostics go to stderr only.
+
+`transfer` writes its Gram file straight from the reduced form: each
+coefficient is printed once and placed by the rotation rule of
+`forms._transfer_rows`, so no dense Gram is built, and the form file's
+hermitian check on load is the only symmetry check.  The claims module is
+imported only when `verify-paper` runs, so the other commands do not load
+it.
 """
 
 from __future__ import annotations
@@ -20,18 +27,17 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from hermlat.charvec import characteristic_defect, is_standard, min_characteristic
-from hermlat.claims import claim_list as _claim_list
 from hermlat.forms import (
     HermitianForm,
+    _transfer_rows,
     build_form,
     build_form_power,
     form_det,
     power_exceeds,
     reduce_form,
-    transfer,
     transfer_determinant,
 )
 from hermlat.lattice import DEFAULT_NODE_BUDGET, Budget, BudgetExceeded, GramMatrix
@@ -56,12 +62,16 @@ def _dump_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _gram_json(G: GramMatrix) -> str:
-    """`_dump_json(G.to_json_dict())` byte for byte, from one join per row
-    instead of json's pure-Python indent encoder.  Entries print as json
-    prints an int (`int.__repr__`)."""
-    rows = "\n    ],\n    [\n      ".join(",\n      ".join(map(int.__repr__, row)) for row in G.gram)
-    return f'{{\n  "gram": [\n    [\n      {rows}\n    ]\n  ],\n  "rank": {G.rank}\n}}\n'
+def _gram_json(Gn: Sequence[Sequence[Tuple[int, ...]]]) -> str:
+    """`_dump_json(transfer(Gn).to_json_dict())` byte for byte, for the
+    reduction Gn = `reduce_form(G, n)`, without forming the Gram.  Each
+    coefficient is printed once, as json prints an int (`int.__repr__`);
+    `_transfer_rows` places the printed coefficients, and each row is one
+    join instead of json's pure-Python indent encoder."""
+    printed = [[list(map(int.__repr__, cs)) for cs in row] for row in Gn]
+    rows = "\n    ],\n    [\n      ".join(",\n      ".join(row) for row in _transfer_rows(printed))
+    rank = len(Gn) * len(Gn[0][0])
+    return f'{{\n  "gram": [\n    [\n      {rows}\n    ]\n  ],\n  "rank": {rank}\n}}\n'
 
 
 def _digit_limit() -> int:
@@ -140,12 +150,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_transfer(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise CLIError(EXIT_DOMAIN, "modulus must be >= 1")
+    # loading checks that the form is hermitian, so the Gram is symmetric
     form = _load(args.form_file, HermitianForm, "form")
-    G = transfer(reduce_form(form, args.n))
+    Gn = reduce_form(form, args.n)
     det = transfer_determinant(form, args.n)
     with _printable():
-        text = _gram_json(G)
-        summary = f"rank: {G.rank}\ndeterminant: {det}\n"
+        text = _gram_json(Gn)
+        summary = f"rank: {len(Gn) * args.n}\ndeterminant: {det}\n"
     _write_file(args.out, text)
     sys.stdout.write(summary)
     return EXIT_OK
@@ -231,6 +242,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 # -- verify-paper --------------------------------------------------------------
+
+
+def _claim_list(max_n: int, budget: int) -> list:
+    """`claims.claim_list`, imported on the first call, so that the other
+    commands never load the claims module.  `_cmd_verify_paper` looks this
+    name up when it runs, so a caller may replace it."""
+    from hermlat.claims import claim_list
+
+    return claim_list(max_n, budget)
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:

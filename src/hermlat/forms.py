@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from math import gcd
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from hermlat.lattice import GramMatrix, _json_square
 from hermlat.ring import LaurentPoly, sym_power
@@ -191,27 +191,34 @@ def flatten_vector(vec: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
 # -- restriction of scalars --------------------------------------------------
 
 
-def transfer(Gn: Sequence[Sequence[Tuple[int, ...]]]) -> GramMatrix:
-    """Rank m*n integer Gram of the reduction Gn = `reduce_form(G, n)`
-    viewed as a lattice over Z.
+def _transfer_rows(Gn: Sequence[Sequence[Sequence]]) -> Iterator[list]:
+    """The rows of `transfer(Gn)`, row (i, j) = i*n + j in order, for any
+    entry type: the coefficients themselves, or their printed forms.
 
     Row (i, j) and column (i', j') meet in the coefficient of x^((j'-j) mod n)
     of G[i][i'], which is the integer pairing (x^j e_i, x^j' e_i').  So the
-    block of row (i, j) under column block i' is the coefficient tuple of
-    G[i][i'] rotated right by j, and each row is built from m such slices,
-    never one entry at a time.  The Gram is symmetric exactly when Gn is
-    hermitian, so `GramMatrix` rejects a Gn that is not.
+    block of row (i, j) under column block i' is the coefficient sequence of
+    G[i][i'] rotated right by j, and each row is the concatenation of m such
+    slices, never built one entry at a time.
     """
     n = len(Gn[0][0])
-    rows = []
     for entries in Gn:
         for j in range(n):
-            row: List[int] = []
+            row: list = []
             for cs in entries:
                 row += cs[n - j :]
                 row += cs[: n - j]
-            rows.append(row)
-    return GramMatrix(rows)
+            yield row
+
+
+def transfer(Gn: Sequence[Sequence[Tuple[int, ...]]]) -> GramMatrix:
+    """Rank m*n integer Gram of the reduction Gn = `reduce_form(G, n)`
+    viewed as a lattice over Z, from the rows of `_transfer_rows`.  The Gram
+    is symmetric exactly when Gn is hermitian, so `GramMatrix` rejects a Gn
+    that is not.  `hermlat transfer` writes its Gram file from the same rows
+    of printed coefficients and never forms this Gram.
+    """
+    return GramMatrix(list(_transfer_rows(Gn)))
 
 
 def transfer_image(Gn: Sequence[Sequence[Tuple[int, ...]]], v: Sequence[int]) -> Tuple[int, ...]:

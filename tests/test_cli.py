@@ -1,7 +1,10 @@
 """Command line behavior: exit codes, file round trips, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from functools import lru_cache
@@ -17,8 +20,9 @@ import hermlat.lattice as lattice
 import hermlat.roots as roots
 from oracles import apply_basis_change, e8_gram, random_unimodular
 from hermlat.charvec import characteristic_defect, defect_certificate_check, min_characteristic
-from hermlat.forms import build_form, build_form_power, reduce_form, transfer
+from hermlat.forms import HermitianForm, build_form, build_form_power, reduce_form, transfer
 from hermlat.lattice import Budget, GramMatrix, direct_sum, enumerate_short
+from hermlat.ring import LaurentPoly, sym_power
 from hermlat.roots import identity_gram
 
 
@@ -88,18 +92,25 @@ def test_transfer_round_trip(tmp_path, capsys):
 
 
 @st.composite
-def _symmetric_grams(draw):
-    """Symmetric Grams of rank 1..8 with negative and multi-digit entries."""
-    r = draw(st.integers(1, 8))
-    entry = st.integers(-9, 9) | st.integers(-(10**30), 10**30)
-    upper = {(i, j): draw(entry) for i in range(r) for j in range(i, r)}
-    return GramMatrix([[upper[min(i, j), max(i, j)] for j in range(r)] for i in range(r)])
+def _reduced_forms(draw):
+    """Reductions mod x^n - 1, n = 1..12, of hermitian forms of size 1..4
+    whose entries have exponents in -6..6 and negative and multi-digit
+    coefficients."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    coeff = st.integers(-9, 9) | st.integers(-(10**30), 10**30)
+    poly = st.dictionaries(st.integers(-6, 6), coeff, max_size=4).map(LaurentPoly)
+    upper = {(i, j): draw(poly) for i in range(m) for j in range(i + 1, m)}
+    for i in range(m):
+        d = draw(poly)
+        upper[i, i] = d + d.conj()
+    rows = [[upper[i, j] if i <= j else upper[j, i].conj() for j in range(m)] for i in range(m)]
+    return reduce_form(HermitianForm(rows), n)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_symmetric_grams())
-def test_gram_writer_matches_the_json_encoder(G):
-    assert cli._gram_json(G) == cli._dump_json(G.to_json_dict())
+@given(_reduced_forms())
+def test_gram_writer_matches_the_json_encoder(Gn):
+    assert cli._gram_json(Gn) == cli._dump_json(transfer(Gn).to_json_dict())
 
 
 def test_transfer_errors(tmp_path, capsys):
@@ -130,6 +141,26 @@ def test_transfer_large_modulus(tmp_path, capsys):
     assert code == 0 and stdout == "rank: 288\ndeterminant: 1\n"
     G = GramMatrix.from_json_dict(json.loads(gram_file.read_text()))
     assert G == transfer(reduce_form(build_form_power(1), 72))
+    # the file written from the reduction is the json encoding of the dense transfer
+    for l in (1, 5, 21):
+        run(capsys, "build", "--a", f"x^{l} + x^-{l}", "--out", str(form_file))
+        form = build_form(sym_power(l))
+        for n in (1, 2, 3, 5, 13, 72):
+            code, stdout, _ = run(capsys, "transfer", str(form_file), "--n", str(n), "--out", str(gram_file))
+            assert code == 0 and stdout == f"rank: {4 * n}\ndeterminant: 1\n"
+            expected = cli._dump_json(transfer(reduce_form(form, n)).to_json_dict())
+            assert gram_file.read_bytes() == expected.encode("utf-8")
+
+
+def test_transfer_rejects_a_form_that_is_not_hermitian(tmp_path, capsys):
+    # loading the form is the transfer's only symmetry check: x sits at both
+    # (0, 1) and (1, 0), where hermitian symmetry wants x and 1/x
+    form_file, gram_file = tmp_path / "F.json", tmp_path / "G.json"
+    x, one = {"1": 1}, {"0": 1}
+    form_file.write_text(json.dumps({"size": 2, "entries": [[one, x], [x, one]]}))
+    code, stdout, err = run(capsys, "transfer", str(form_file), "--n", "3", "--out", str(gram_file))
+    assert code == 2 and stdout == "" and _one_error_line(err)
+    assert not gram_file.exists()
 
 
 @pytest.mark.parametrize(
@@ -476,6 +507,24 @@ def test_verify_paper_max_n(capsys):
     assert all("defect-exact" in l for l in skipped)
 
 
+def test_verify_paper_runs_the_claim_list_it_finds_at_call_time(capsys, monkeypatch):
+    stub = [("stub-claim", "nowhere", 1, lambda: 1)]
+    monkeypatch.setattr(cli, "_claim_list", lambda max_n, budget: stub)
+    code, stdout, _ = run(capsys, "verify-paper", "--format", "json")
+    assert code == 0
+    assert json.loads(stdout) == {
+        "records": [
+            {
+                "claim_id": "stub-claim",
+                "paper_location": "nowhere",
+                "expected": 1,
+                "computed": 1,
+                "status": "pass",
+            }
+        ]
+    }
+
+
 def test_verify_paper_json_schema_and_determinism(capsys):
     code, out1, _ = run(capsys, "verify-paper", "--max-n", "2", "--format", "json")
     assert code == 0
@@ -631,3 +680,24 @@ def test_verify_paper_json_matches_golden(capsys, max_n):
     code, stdout, _ = run(capsys, "verify-paper", "--max-n", max_n, "--format", "json")
     assert code == 0
     assert stdout.encode("utf-8") == golden.read_bytes()
+
+
+def test_traced_verify_paper_times_every_claim_that_runs(tmp_path):
+    # the benchmark's traced CLI wraps the claim runners of cli._claim_list;
+    # the claims module is imported only when verify-paper runs, after the
+    # library layers are wrapped, and its calls must still be traced
+    root = Path(__file__).resolve().parents[1]
+    spans_file = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
+    argv = ["verify-paper", "--max-n", "3", "--format", "json"]
+    out = subprocess.run(
+        [sys.executable, str(root / "bench" / "traced_cli.py"), str(spans_file), *argv],
+        env=env, capture_output=True, check=True,
+    )
+    assert out.stdout == (root / "bench" / "golden" / "verify-paper-max-n-3.json").read_bytes()
+    spans = json.loads(spans_file.read_text())
+    names = [span[0] for span in spans]
+    ran = [r["claim_id"] for r in json.loads(out.stdout)["records"] if r["status"] != "skipped(budget)"]
+    assert ran and all(f"cli.claim.{cid}" in names for cid in ran)
+    nested = {name for name, _, _, parent, _ in spans if parent >= 0 and names[parent].startswith("cli.claim.")}
+    assert {"charvec.min_characteristic", "roots.root_system", "forms.transfer"} <= nested

@@ -133,6 +133,21 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     assert out.stdout == "[]\n"
 
 
+def test_cli_import_leaves_claims_unloaded():
+    # build, transfer and analyze never load the claims module; verify-paper
+    # imports it when it runs
+    code = (
+        "import sys, hermlat.cli as cli; loaded = 'hermlat.claims' in sys.modules; "
+        "code = cli.main(['verify-paper', '--max-n', '0']); print(loaded, code, file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hermlat.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stderr.splitlines()[-1] == "False 0"
+    assert " 0 failed" in out.stdout
+
+
 def test_no_unused_parameters():
     # a parameter is read when the body, nested functions included, loads
     # its name; self and cls are exempt
