@@ -50,7 +50,6 @@ from hermlat.forms import (
     HermitianForm,
     b_sequence,
     build_form,
-    build_form_power,
     flatten_vector,
     form_det,
     rational_congruence_check,
@@ -273,7 +272,7 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
             "construction-det-one",
             "determinant of the first-power form",
             "1",
-            lambda: format_laurent(form_det(build_form_power(1))),
+            lambda: format_laurent(form_det(_form(1))),
         ),
         (
             "thm-new-n1-standard",

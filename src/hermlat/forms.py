@@ -11,9 +11,8 @@ is, and nothing checks it again.  The pairing convention throughout is
     <u, v> = sum_ij u_i * G[i][j] * conj(v_j)
 
 linear in the first slot and conjugate-linear in the second, so that
-<v, u> = conj(<u, v>).  The Gram matrix of a list of vectors under it is
-`_form_gram`, one product G conj(v) per vector, and the rational congruence
-Q G conj(Q)^T of `rational_congruence_check` is the Gram matrix of Q's rows.
+<v, u> = conj(<u, v>).  The rational congruence P G conj(P)^T of
+`rational_congruence_check` is read off G's 2 x 2 blocks.
 
 ``transfer`` restricts scalars: a rank-m reduction mod x^n - 1 becomes a
 rank m*n integer symmetric matrix on the basis x^j e_i, ordered
@@ -157,8 +156,7 @@ def form_det(G: HermitianForm) -> LaurentPoly:
     A_k the leading k x k block and A_{k+1} = [[A_k, c], [r, a]], the
     characteristic polynomial of A_{k+1} is the lower-triangular Toeplitz
     matrix with first column (1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c)
-    applied to that of A_k.  O(m^4) ring operations and no division; Bareiss
-    would need exact division in Z[x,1/x], which the package lacks.
+    applied to that of A_k: O(m^4) ring operations and no division.
     """
     mat = G.rows()
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
@@ -306,47 +304,27 @@ def _resultant(a: Sequence[int], b: Sequence[int]) -> int:
 # -- the rational congruence over the Laurent ring ----------------------------
 
 
-def _form_gram(G: HermitianForm, vectors: Sequence[Sequence[LaurentPoly]]):
-    """The Gram matrix of the vectors under the pairing: entry (k, l) is
-    <v_k, v_l> = sum_ij v_k[i] G[i][j] conj(v_l[j]).  One product
-    G conj(v) per vector, with the conjugate taken once, then one dot
-    product per entry.  A vector whose length is not the form's size raises
-    ValueError."""
-    zero = LaurentPoly.zero()
-    images = []
-    for v in vectors:
-        if len(v) != G.size:
-            raise ValueError("vector length must match the form size")
-        cv = [c.conj() for c in v]
-        images.append([sum(map(mul, row, cv), zero) for row in G.rows()])
-    return [[sum(map(mul, u, gv), zero) for gv in images] for u in vectors]
-
-
 def rational_congruence_check(a: LaurentPoly) -> bool:
-    """Verify P * G * conj(P)^T = diag(1/2, 1/2, 2, 2) exactly, where G is the
-    rank-4 form at a and P = [[I, -B/2], [0, I]] with B = [[1+a, a], [a, 1+a]].
+    """Verify P G P* = diag(1/2, 1/2, 2, 2) exactly, * the conjugate transpose,
+    for the rank-4 form G at a, P = [[I, -B/2], [0, I]], B = [[1+a, a], [a, 1+a]].
 
-    The check runs in integers on Q = 2P = [[2I, -B], [0, 2I]], for which the
-    same identity times 4 reads Q * G * conj(Q)^T = diag(2, 2, 8, 8).  The
-    left side is the `_form_gram` of the rows of Q.  This certifies positive
-    definiteness of the form whenever a is specialised compatibly.
+    In 2 x 2 blocks G = [[A, X], [X*, C]], and
+
+        P G P* = [[A - (B X* + X B*)/2 + B C B*/4, X - B C/2], [X* - C B*/2, C]].
+
+    The lower-right block is 2I exactly when C = 2I; then the off-diagonal
+    blocks vanish exactly when X = B, the B built from a and not G's own;
+    then the upper-left A - B B*/2 is I/2 exactly when 2A - B B* = I.  These
+    three identities, in exact Laurent arithmetic, certify that the form is
+    positive definite whenever a is specialised compatibly.
     """
-    G = build_form(a)
-    zero = LaurentPoly.zero()
-    two = LaurentPoly.const(2)
-    eight = LaurentPoly.const(8)
-    nb11 = -(LaurentPoly.one() + a)
-    nb12 = -a
-    Q = [
-        [two, zero, nb11, nb12],
-        [zero, two, nb12, nb11],
-        [zero, zero, two, zero],
-        [zero, zero, zero, two],
-    ]
-    D = [
-        [two, zero, zero, zero],
-        [zero, two, zero, zero],
-        [zero, zero, eight, zero],
-        [zero, zero, zero, eight],
-    ]
-    return _form_gram(G, Q) == D
+    G = build_form(a).rows()
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    I, B = ((one, zero), (zero, one)), ((one + a, a), (a, one + a))
+    return all(
+        G[2 + i][2 + j] == I[i][j] + I[i][j]
+        and G[i][2 + j] == B[i][j]
+        and G[i][j] + G[i][j] - B[i][0] * B[j][0].conj() - B[i][1] * B[j][1].conj() == I[i][j]
+        for i in range(2)
+        for j in range(2)
+    )

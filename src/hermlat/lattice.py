@@ -178,12 +178,10 @@ def _json_square(data, size_key: str, rows_key: str) -> list:
 
 
 def inner(G: GramMatrix, u: Sequence[int], v: Sequence[int]) -> int:
-    """u^T G v, exactly."""
-    r = G.rank
-    if len(u) != r or len(v) != r:
+    """u^T G v, exactly: u . `_image(G, v)`."""
+    if len(u) != G.rank:
         raise ValueError("vector length must match rank")
-    g = G.gram
-    return sum(ui * sum(map(mul, g[i], v)) for i, ui in enumerate(u) if ui)
+    return sum(map(mul, u, _image(G, v)))
 
 
 def norm(G: GramMatrix, v: Sequence[int]) -> int:

@@ -52,8 +52,8 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
+    def monomial(cls, exp: int) -> "LaurentPoly":
+        return cls({exp: 1})
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":

@@ -9,7 +9,8 @@ naive approach stays exact and fast.
 Two groups are built on the package's own types instead: the Grams of the
 root lattices A_n, D_n and E8, which are GramMatrix objects read off the
 package's ``dynkin_edges``, and ``sesq_eval``, which evaluates the hermitian
-pairing with the package's ring arithmetic, the reference for ``transfer``.
+pairing with the package's ring arithmetic, the reference for ``transfer``
+and ``rational_congruence_check``.
 """
 
 from fractions import Fraction
@@ -117,13 +118,6 @@ def _box_radii(gram: Sequence[Sequence[int]], bound: int) -> List[int]:
     # |x_i| <= sqrt(bound * (G^-1)_ii) for any x with x^T G x <= bound
     inv = frac_inverse(gram)
     return [_floor_sqrt_frac(bound * inv[i][i]) for i in range(len(gram))]
-
-
-def box_size(gram: Sequence[Sequence[int]], bound: int) -> int:
-    size = 1
-    for r in _box_radii(gram, bound):
-        size *= 2 * r + 1
-    return size
 
 
 def entrywise_norm(gram, v) -> int:
@@ -436,16 +430,8 @@ def module_basis_vector(m: int, i: int, j: int = 0) -> List[LaurentPoly]:
 # -- half-integer overlattice counts -------------------------------------------
 #
 # Gamma_4m = D_4m + the glue vector g = (1/2,...,1/2).  In doubled
-# coordinates u = 2w the membership test is: all u_i of equal parity and
-# sum(u_i) = 0 mod 4.  Norm-2 vectors split into the all-even branch
+# coordinates u = 2w its norm-2 vectors split into the all-even branch
 # (+-e_i +- e_j, always present) and the all-odd branch (only at rank 8).
-
-
-def gamma_contains_doubled(u: Sequence[int]) -> bool:
-    if len(u) % 4:
-        return False
-    parities = {x & 1 for x in u}
-    return len(parities) == 1 and sum(u) % 4 == 0
 
 
 def gamma_root_count(rank: int) -> int:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import hermlat.claims as claims
 import hermlat.cli as cli
+import hermlat.forms as forms
 import hermlat.lattice as lattice
 import hermlat.roots as roots
 from oracles import apply_basis_change, e8_gram, random_unimodular
@@ -663,15 +664,20 @@ def test_verify_paper_builds_each_multiplier_form_once(capsys, monkeypatch):
         multipliers.append(a)
         return build_form(a)
 
+    # claims builds through its own import, the congruence check and
+    # build_form_power through the forms module's
     monkeypatch.setattr(claims, "build_form", spy)
+    monkeypatch.setattr(forms, "build_form", spy)
     # fresh caches, so every form this run needs passes the spy
     for name, cached in list(vars(claims).items()):
         if hasattr(cached, "cache_clear"):
             monkeypatch.setattr(claims, name, lru_cache(maxsize=None)(cached.__wrapped__))
     code, _, _ = run(capsys, "verify-paper", "--max-n", "5")
     assert code == 0
-    # one build per multiplier x^b + x^-b, b = 1, 5, 21
-    assert 0 < len(multipliers) <= 3
+    # x^b + x^-b is built once by _form and once by the congruence check,
+    # b = 1, 5, 21, and the congruence check builds the form at 0 as well
+    want = [sym_power(b) for b in (1, 5, 21)] * 2 + [LaurentPoly.zero()]
+    assert sorted(multipliers, key=repr) == sorted(want, key=repr)
 
 
 @pytest.mark.parametrize("max_n", ["3", "5"])

@@ -207,6 +207,10 @@ def test_inner_norm(vn):
     assert inner(identity_gram(2), (1, 0), (0, 1)) == 0
     with pytest.raises(ValueError):
         norm(identity_gram(2), (1, 0, 0))
+    # a wrong-length u is caught as well as a wrong-length v
+    for u, v in (((1, 0, 0), (1, 0)), ((1,), (1, 0)), ((1, 0), (1,))):
+        with pytest.raises(ValueError, match="vector length must match rank"):
+            inner(identity_gram(2), u, v)
 
 
 def test_direct_sum():

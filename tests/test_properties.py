@@ -5,14 +5,16 @@ characteristic vectors, mu multiplicativity with defect additivity on direct
 sums, transfer symmetry/equivariance, the cyclic product `transfer_image`
 against the dense one, enumeration against brute force on small random
 lattices, the standardness criterion defect = 0 iff a full set of unit
-vectors exists, and the Gram matrices of vector lists over Z and over the
-Laurent ring against their entrywise pairings.
+vectors exists, the Gram matrices of vector lists over Z against their
+entrywise pairings, and the rational congruence check against the direct
+congruence of the rank-4 form.
 """
 
 import random
+from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -22,11 +24,12 @@ from oracles import (
     random_unimodular,
     sesq_eval,
 )
+from hermlat import forms
 from hermlat.charvec import char_rep, is_characteristic, min_characteristic
 from hermlat.forms import (
     HermitianForm,
-    _form_gram,
     build_form,
+    rational_congruence_check,
     reduce_form,
     transfer,
     transfer_image,
@@ -38,6 +41,7 @@ from hermlat.lattice import (
     direct_sum,
     enumerate_coset,
     enumerate_short,
+    inner,
     norm,
 )
 from hermlat.ring import LaurentPoly, format_laurent, parse_laurent
@@ -291,38 +295,54 @@ def test_gram_of_matches_the_entrywise_pairing(case):
         for u in vectors
     )
     assert _gram_of(G, vectors) == want
+    # inner is the same pairing, one entry at a time
+    assert tuple(tuple(inner(G, u, v) for v in vectors) for u in vectors) == want
     for bad in ((0,) * (r + 1), (1,) * (r - 1)):
         with pytest.raises(ValueError, match="vector length must match rank"):
             _gram_of(G, [*vectors, bad])
 
 
-@st.composite
-def hermitian_and_vectors(draw):
-    """(F, vectors): a hermitian form over Z[x, 1/x] of size 1..4, the rank-4
-    family or one whose off-diagonal entries are not self-conjugate, and
-    0..4 vectors of Laurent polynomials of its size."""
-    laurent = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=3).map(LaurentPoly)
-    if draw(st.booleans()):
-        side = draw(st.dictionaries(st.integers(1, 3), st.integers(-2, 2), max_size=2))
-        const = draw(st.integers(-2, 2))
-        F = build_form(LaurentPoly({0: const, **side, **{-e: c for e, c in side.items()}}))
-    else:
-        m = draw(st.integers(1, 4))
-        rows = [[None] * m for _ in range(m)]
-        for i in range(m):
-            rows[i][i] = LaurentPoly.const(draw(st.integers(-3, 3)))
-            for j in range(i + 1, m):
-                rows[i][j] = draw(laurent)
-                rows[j][i] = rows[i][j].conj()
-        F = HermitianForm(rows)
-    vec = st.lists(laurent, min_size=F.size, max_size=F.size)
-    return F, draw(st.lists(vec, max_size=4))
+# -- suite 8: the rational congruence is its three block identities ----------------
+
+
+congruence_multipliers = st.builds(
+    lambda const, exps: LaurentPoly({0: const, **{e: 1 for e in exps}, **{-e: 1 for e in exps}}),
+    st.integers(-2, 2),
+    st.sets(st.integers(1, 4), max_size=3),
+)
+small_laurents = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), max_size=2).map(LaurentPoly)
+# None keeps build_form(a); (i, j, d) adds d at (i, j) and conj(d) at (j, i),
+# so d + conj(d) on the diagonal, and the form stays hermitian
+form_edits = st.one_of(
+    st.none(),
+    st.just("swap"),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), small_laurents),
+)
 
 
 @SUITE
-@given(hermitian_and_vectors())
-def test_form_gram_matches_the_sesquilinear_pairing(case):
-    F, vectors = case
-    assert _form_gram(F, vectors) == [[sesq_eval(F, u, v) for v in vectors] for u in vectors]
-    with pytest.raises(ValueError):
-        _form_gram(F, [*vectors, [LaurentPoly.one()] * (F.size + 1)])
+@given(congruence_multipliers, form_edits)
+@example(LaurentPoly({0: 1, 1: 1, -1: 1}), "swap")
+def test_rational_congruence_check_matches_the_direct_congruence(a, edit):
+    # the check reads C = 2I, X = B and 2A - B conj(B)^T = I off whatever
+    # build_form returns; the direct congruence Q F conj(Q)^T = diag(2, 2, 8, 8)
+    # with Q = 2P must agree on every form, the basis swap included, which
+    # keeps the Schur complement but moves X off B
+    F = build_form(a)
+    if edit == "swap":
+        p = (0, 1, 3, 2)
+        F = HermitianForm([[F.rows()[i][j] for j in p] for i in p])
+    elif edit is not None:
+        i, j, d = edit
+        rows = [list(row) for row in F.rows()]
+        rows[i][j] += d
+        rows[j][i] += d.conj()
+        F = HermitianForm(rows)
+    one, zero, two = LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.const(2)
+    b11, b12 = -(one + a), -a
+    Q = [[two, zero, b11, b12], [zero, two, b12, b11], [zero, zero, two, zero], [zero, zero, zero, two]]
+    want = [[LaurentPoly.const(d if k == l else 0) for l, d in enumerate((2, 2, 8, 8))] for k in range(4)]
+    with patch.object(forms, "build_form", return_value=F) as built:
+        got = rational_congruence_check(a)
+    built.assert_called_once_with(a)
+    assert got == ([[sesq_eval(F, u, v) for v in Q] for u in Q] == want)

@@ -2,8 +2,9 @@
 private definitions, bool mode flags, rationals and dataclasses, the one
 integer test, the one node budget per command, the one ring type and the
 one form type with reductions as plain coefficient tuples, which modules
-import the form layer, plus what importing the CLI loads and whether every
-hermlat name the benchmark reads exists."""
+import the form layer, plus what importing the CLI loads, whether every
+hermlat name the benchmark reads exists, and whether every test oracle is
+read."""
 
 import ast
 import importlib
@@ -246,6 +247,28 @@ def test_public_names_are_read():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
         and node.name not in read
+    ]
+    assert unread == []
+
+
+def test_oracles_are_read():
+    # every top-level function of tests/oracles.py is read by a module under
+    # tests/ or bench/: by another oracle, or by a test, never only by itself
+    root = Path(__file__).resolve().parents[1]
+    oracles = root / "tests" / "oracles.py"
+    others = sorted((root / "tests").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    read = set()
+    for path in others:
+        if path == oracles:
+            continue
+        tree = _tree(path)
+        read.update(_reads(tree))
+        read.update(alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names)
+    defs = [n for n in _tree(oracles).body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unread = [
+        f"oracles.py:{f.lineno} {f.name}"
+        for f in defs
+        if f.name not in read and not any(f.name in _reads(g) for g in defs if g is not f)
     ]
     assert unread == []
 
