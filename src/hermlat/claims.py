@@ -19,14 +19,15 @@ lattice (`identify`, SPLAG ch. 16, Table 16.7).
 Claims on the moduli up to 30, and the multiplier claims at moduli up to 86,
 use closed-form witnesses that integer arithmetic re-checks instead, on the
 form reduced mod x^n - 1 (`_cyclic`, a matrix of coefficient tuples) through
-`transfer_image`: no rank-4n Gram is built for them.  Their characteristic
-test, `_transfer_characteristic_norm`, reads charvec's one parity-and-norm
-rule off the product G w that `transfer_image` takes from the reduction
-itself, with the transfer's diagonal read off the reduction's.  Only the
-enumeration claims (moduli up to --max-n), the augmentation of the
-first-power form (the transfer at modulus 1) and the Dynkin check at
-modulus 4 form the dense transfer `_vn`; that check's two D8 batches
-(`v4_root_batches`) are built here as well.
+`transfer_image`: no rank-4n Gram is built for them.  Each compares one
+norm, `_transfer_norm` (charvec's one parity-and-norm rule read off the
+product G w that `transfer_image` takes from the reduction itself), with a
+target t below the rank 4n, so the witness certifies a defect of at least
+(4n - t) // 8 (`defect_certificate_check`).  Only the enumeration claims
+(moduli up to --max-n), the augmentation of the first-power form (the
+transfer at modulus 1) and the Dynkin check at modulus 4 form the dense
+transfer `_vn`; that check's two D8 batches (`v4_root_batches`) are built
+here as well.
 """
 
 from __future__ import annotations
@@ -101,23 +102,14 @@ def _standard(G: GramMatrix, defect: DefectReport, roots: RootSystemReport) -> d
     return {"standard": std, "certificate_ok": std and check_orthonormal_certificate(G, cert)}
 
 
-def _transfer_characteristic_norm(
-    Gn: Sequence[Sequence[Tuple[int, ...]]], w: Sequence[int]
-) -> Optional[int]:
-    """`_characteristic_norm(transfer(Gn), w)` without forming the transfer:
-    the product is `transfer_image(Gn, w)`, and diagonal entry i*n + j of the
-    transfer is the constant coefficient of Gn[i][i]."""
+def _transfer_norm(Gn: Sequence[Sequence[Tuple[int, ...]]], w: Sequence[int]) -> Optional[int]:
+    """|w|^2 in transfer(Gn) if w is characteristic there, else None, without
+    forming the transfer: the product is `transfer_image(Gn, w)`, which checks
+    that len(w) is the rank, and diagonal entry i*n + j of the transfer is the
+    constant coefficient of Gn[i][i]."""
     n = len(Gn[0][0])
     diagonal = [row[i][0] for i, row in enumerate(Gn) for _ in range(n)]
     return _norm_if_characteristic(transfer_image(Gn, w), diagonal, w)
-
-
-def _witness_holds(Gn: Sequence[Sequence[Tuple[int, ...]]], w: Sequence[int], target: int) -> bool:
-    """w is characteristic of norm target < rank in transfer(Gn), so it
-    certifies defect >= (rank - target) // 8 (`defect_certificate_check`),
-    from one product `transfer_image(Gn, w)`, which checks that the rank is
-    len(w)."""
-    return _transfer_characteristic_norm(Gn, w) == target < len(w)
 
 
 def _range_claim(
@@ -135,26 +127,20 @@ def _range_claim(
     return (claim_id, location, {"moduli": f"{first}..30", key: True}, run)
 
 
-def _char_witness_norm(n: int) -> bool:
-    return _transfer_characteristic_norm(_cyclic(1, n), witness_vector(n, ())) == 4 * n
-
-
-def _floor3_multiplier(n: int) -> List[int]:
-    """a(x) = 1 + x^3 + x^6 + ... with floor(n/3) terms; the multiplier whose
-    witness has norm 4n - 8 floor(n/3)."""
-    q = n // 3
-    out = [0] * max(1, 3 * (q - 1) + 1)
-    for i in range(q):
-        out[3 * i] = 1
-    return out
-
-
 def _floor3_witness(n: int) -> bool:
-    a = _floor3_multiplier(n)
+    """The witness of a(x) = 1 + x^3 + ... + x^(3 floor(n/3) - 3) has norm
+    4n - 8 floor(n/3) < 4n, in closed form and on the cyclic form."""
+    a = (1, 0, 0) * (n // 3)
     target = 4 * n - 8 * (n // 3)
-    return wa_norm(n, a) == target and _witness_holds(
-        _cyclic(1, n), witness_vector(n, a), target
-    )
+    return wa_norm(n, a) == _transfer_norm(_cyclic(1, n), witness_vector(n, a)) == target < 4 * n
+
+
+def _sum_of_squares_holds(b: int, n: int) -> bool:
+    """The sum-of-squares test holds for a = x^b + x^-b, and its witness
+    w - 2 e_1 at modulus n has the predicted norm, below the rank 4n."""
+    holds, _, witness_norm = specific_criterion(sym_power(b))
+    w = witness_vector(n, (1,))
+    return holds and witness_norm(n) == _transfer_norm(_cyclic(b, n), w) < 4 * n
 
 
 def _v3_minimizers(rep: CharReport) -> dict:
@@ -221,13 +207,8 @@ def _rational_congruence() -> dict:
 
 
 def _specific(b: int) -> dict:
-    # the lattice varies with the multiplier; the witness is always w - 2 e_1
-    a = sym_power(b)
-    holds, m, witness_norm = specific_criterion(a)
-    ok = holds and m == b and all(
-        _witness_holds(_cyclic(b, n), witness_vector(n, (1,)), witness_norm(n))
-        for n in (4 * b + 1, 4 * b + 2)
-    )
+    holds, m, _ = specific_criterion(sym_power(b))
+    ok = holds and m == b and all(_sum_of_squares_holds(b, n) for n in (4 * b + 1, 4 * b + 2))
     return {"holds": holds, "m": m, "norms_match": ok}
 
 
@@ -237,10 +218,7 @@ def _distinguishing() -> dict:
         if any(any(e[1:]) for row in _cyclic(bk, bk) for e in row):
             return {"checked": f"power {k} not constant at its modulus", "all": False}
         for j in range(1, k):
-            bj = b_sequence(j)
-            _, _, witness_norm = specific_criterion(sym_power(bj))
-            w = witness_vector(bk, (1,))
-            if witness_norm is None or not _witness_holds(_cyclic(bj, bk), w, witness_norm(bk)):
+            if not _sum_of_squares_holds(b_sequence(j), bk):
                 return {"checked": f"witness failed at j={j}, k={k}", "all": False}
     return {"checked": "k=1..3 with all j<k", "all": True}
 
@@ -291,14 +269,14 @@ def claim_list(max_n: int, budget: int) -> List[Claim]:
             "norm 4n-8 characteristic witnesses at moduli 3..30",
             3,
             "all_nonstandard",
-            lambda n: _witness_holds(_cyclic(1, n), witness_vector(n, (1,)), 4 * n - 8),
+            lambda n: _transfer_norm(_cyclic(1, n), witness_vector(n, (1,))) == 4 * n - 8,
         ),
         _range_claim(
             "lemma-char-norm-range",
             "norm-element witness is characteristic of norm 4n at moduli 1..30",
             1,
             "all_match",
-            _char_witness_norm,
+            lambda n: _transfer_norm(_cyclic(1, n), witness_vector(n, ())) == 4 * n,
         ),
         (
             "defect-exact-n3",

@@ -152,11 +152,15 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
         raise CLIError(EXIT_DOMAIN, "modulus must be >= 1")
     # loading checks that the form is hermitian, so the Gram is symmetric
     form = _load(args.form_file, HermitianForm, "form")
-    Gn = reduce_form(form, args.n)
-    det = transfer_determinant(form, args.n)
-    with _printable():
-        text = _gram_json(Gn)
-        summary = f"rank: {len(Gn) * args.n}\ndeterminant: {det}\n"
+    try:
+        Gn = reduce_form(form, args.n)
+        det = transfer_determinant(form, args.n)
+        with _printable():
+            text = _gram_json(Gn)
+            summary = f"rank: {len(Gn) * args.n}\ndeterminant: {det}\n"
+    except (MemoryError, OverflowError):
+        # no list of n coefficients fits, so no file is written
+        raise CLIError(EXIT_DOMAIN, f"modulus {args.n} is too large to reduce the form in memory")
     _write_file(args.out, text)
     sys.stdout.write(summary)
     return EXIT_OK
@@ -171,55 +175,44 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     G = _load(args.gram_file, GramMatrix, "Gram")
     if not G.is_positive_definite():
         raise CLIError(EXIT_DOMAIN, "Gram matrix is not positive definite")
-    want_all = not (args.defect or args.mu or args.roots or args.standardize)
+    flags = (args.defect, args.mu, args.roots, args.standardize)
+    every = not any(flags)
+    want_defect, want_mu, want_roots, want_standard = (every or flag for flag in flags)
+    want_char = want_defect or want_mu or want_standard
     budget = Budget(args.budget)  # one for the whole call: root_system spends what is left
-    skipped = False
+    skipped = []  # the searches that found the budget spent
+
+    def search(run: Any) -> Any:
+        """run(G, budget), or None after recording that the budget ran out."""
+        try:
+            return run(G, budget)
+        except BudgetExceeded:
+            skipped.append(run)
+            return None
+
     det = G.determinant()
     unimodular = det == 1
-    report: dict = {
-        "rank": G.rank,
-        "determinant": det,
-        "parity": "odd" if G.is_odd() else "even",
-    }
-
-    listing = want_all or args.mu
-    want_standard = want_all or args.standardize
-    want_char = listing or args.defect or want_standard
+    report: dict = {"rank": G.rank, "determinant": det, "parity": "odd" if G.is_odd() else "even"}
     missing = {"status": "skipped(budget)" if unimodular else "not unimodular"}
-    char = None
-    if unimodular and want_char:
-        # the defect and standardness need no minimizer list: take the search's
-        # first minimizer; mu lists the rest of the same pass
-        search = min_characteristic if listing else characteristic_defect
-        try:
-            char = search(G, budget)
-        except BudgetExceeded:
-            skipped = True
-    if want_all or args.defect:
-        report["defect"] = (
-            {"min_norm": char.min_norm, "defect": char.defect}
-            if char is not None
-            else missing
-        )
-    if want_all or args.mu:
-        report["mu"] = (
-            {"mu": char.mu, "minimizers": [list(v) for v in char.minimizers]}
-            if char is not None
-            else missing
-        )
+    # the defect and standardness need no minimizer list: take the search's
+    # first minimizer; mu lists the rest of the same pass
+    char_search = min_characteristic if want_mu else characteristic_defect
+    char = search(char_search) if unimodular and want_char else None
+    if want_defect:
+        report["defect"] = missing if char is None else {
+            "min_norm": char.min_norm,
+            "defect": char.defect,
+        }
+    if want_mu:
+        report["mu"] = missing if char is None else {
+            "mu": char.mu,
+            "minimizers": [list(v) for v in char.minimizers],
+        }
     # one bound-2 pass gives the roots, the unit pairs and the identification
-    want_roots = want_all or args.roots
-    rs = None
-    if want_roots or (want_standard and char is not None):
-        try:
-            rs = root_system(G, budget=budget)
-        except BudgetExceeded:
-            skipped = True
+    rs = search(root_system) if want_roots or (want_standard and char is not None) else None
     if want_standard:
-        if char is None:
+        if char is None or rs is None:  # with char, the lattice is unimodular
             report["standard"] = missing
-        elif rs is None:
-            report["standard"] = {"status": "skipped(budget)"}
         else:
             std, cert = is_standard(G, char, rs.units)
             report["standard"] = {"is_standard": std, "certificate": cert}

@@ -36,9 +36,8 @@ chain coset passes (`charvec`) pull them from `_coset`.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import isqrt, lcm
-from operator import eq, mul
+from operator import mul
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from hermlat.ring import _int_type
@@ -70,10 +69,10 @@ class GramMatrix:
 
     The constructor rejects a matrix that is empty, not square, has an entry
     that is not an int (bools are rejected), or is not symmetric, with the
-    same message the first offending row or entry would give in a scan in
-    row order.  The checks run over whole rows, types and row/column pairs,
-    so validating a rank-r matrix takes r^2 C-level steps but only O(r)
-    Python-level ones.
+    message of the first offending row or entry in row order.  One scan of
+    the rows checks each row's length and its set of entry types, and one
+    pass compares each row with its column, so validating a rank-r matrix
+    takes r^2 C-level steps but only O(r) Python-level ones.
     """
 
     __slots__ = ("_rank", "_gram", "_sweep", "_reduction")
@@ -83,20 +82,17 @@ class GramMatrix:
         r = len(rows)
         if r == 0:
             raise ValueError("rank must be positive")
-        # bulk checks first; on a failure, the row-by-row loop names it
-        types = set(map(type, chain.from_iterable(rows)))
-        if any(len(row) != r for row in rows) or not all(map(_int_type, types)):
-            for row in rows:
-                if len(row) != r:
-                    raise ValueError("gram must be square")
-                if not all(_int_type(type(v)) for v in row):
-                    raise ValueError("gram entries must be integers")
-        # one row against one column at a time, never a transposed copy
-        if not all(map(eq, rows, zip(*rows))):
-            for i in range(r):
-                for j in range(i + 1, r):
-                    if rows[i][j] != rows[j][i]:
-                        raise ValueError(f"asymmetric at ({i},{j})")
+        for row in rows:
+            if len(row) != r:
+                raise ValueError("gram must be square")
+            if not all(map(_int_type, set(map(type, row)))):
+                raise ValueError("gram entries must be integers")
+        # one row against one column at a time, never a transposed copy; the
+        # first row unlike its column holds the first asymmetric pair (i, j > i)
+        for i, (row, column) in enumerate(zip(rows, zip(*rows))):
+            if row != column:
+                j = next(j for j in range(i + 1, r) if row[j] != column[j])
+                raise ValueError(f"asymmetric at ({i},{j})")
         self._rank = r
         self._gram = rows
         self._sweep = None
@@ -178,10 +174,11 @@ def _json_square(data, size_key: str, rows_key: str) -> list:
 
 
 def inner(G: GramMatrix, u: Sequence[int], v: Sequence[int]) -> int:
-    """u^T G v, exactly: u . `_image(G, v)`."""
-    if len(u) != G.rank:
+    """u^T G v, exactly: the sum of u_i (row_i . v) over the i with u_i != 0,
+    so a zero coordinate of u costs no row product."""
+    if len(u) != G.rank or len(v) != G.rank:
         raise ValueError("vector length must match rank")
-    return sum(map(mul, u, _image(G, v)))
+    return sum(c * sum(map(mul, row, v)) for c, row in zip(u, G.gram) if c)
 
 
 def norm(G: GramMatrix, v: Sequence[int]) -> int:

@@ -132,8 +132,8 @@ def entrywise_is_characteristic(gram, w) -> bool:
 
 def entrywise_gram_error(gram) -> Optional[str]:
     """The ValueError message of `GramMatrix(gram)`, or None when it accepts:
-    the entry-by-entry scan the constructor made before its checks ran in
-    bulk, kept as the reference for their order and messages."""
+    an entry-by-entry scan in row order, the reference for the order and the
+    messages of the constructor's row-wise checks."""
     rows = tuple(tuple(row) for row in gram)
     r = len(rows)
     if r == 0:

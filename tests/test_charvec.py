@@ -28,7 +28,7 @@ from hermlat.charvec import (
 )
 from hermlat.forms import build_form_power, reduce_form
 from hermlat.lattice import Budget, GramMatrix, direct_sum, enumerate_short, norm
-from hermlat.claims import _floor3_multiplier, _witness_holds
+from hermlat.claims import _transfer_norm
 from hermlat.ring import LaurentPoly, sym_power
 from hermlat.roots import gamma_gram, identity_gram, root_system
 
@@ -197,7 +197,7 @@ def test_characteristic_checks_need_lattice_vectors(w):
 
 def test_defect_certificate_examples(vn):
     V6 = vn(6)
-    w0 = witness_vector(6, _floor3_multiplier(6))
+    w0 = witness_vector(6, (1, 0, 0) * 2)
     assert defect_certificate_check(V6, w0, 2)
     assert defect_certificate_check(vn(3), witness_vector(3, (1,)), 1)
     assert not defect_certificate_check(identity_gram(4), (1, 1, 1, 1), 1)
@@ -205,38 +205,30 @@ def test_defect_certificate_examples(vn):
 
 
 def _witness_cases(n):
-    """(witness, target norm) at modulus n: the norm-element witness, w - 2 e_1
-    and the floor(n/3) witness, and copies of each with one coordinate moved
-    by +-1 (no longer characteristic) or +-2 (characteristic, another norm)."""
-    a3 = _floor3_multiplier(n)
-    bases = [
-        (witness_vector(n, ()), 4 * n),
-        (witness_vector(n, (1,)), 4 * n - 8),
-        (witness_vector(n, a3), wa_norm(n, a3)),
-    ]
-    for w, target in bases:
-        yield w, target
+    """Witnesses at modulus n: the norm-element witness, w - 2 e_1 and the
+    floor(n/3) witness, and copies of each with one coordinate moved by +-1
+    (no longer characteristic) or +-2 (characteristic, another norm)."""
+    for w in (witness_vector(n, a) for a in ((), (1,), (1, 0, 0) * (n // 3))):
+        yield w
         for k in (0, n + n // 2, 2 * n + 1, 4 * n - 1):
             for step in (-2, -1, 1, 2):
                 v = list(w)
                 v[k] += step
-                yield tuple(v), target
+                yield tuple(v)
 
 
 def test_witness_checks_match_entrywise_definitions(vn):
-    # the Gram checks on vn(n), and the claims' check on the cyclic form it
-    # is the transfer of, against the entrywise definitions on vn(n)
+    # the Gram checks on vn(n), and the claims' witness norm on the cyclic
+    # form it is the transfer of, against the entrywise definitions on vn(n)
     for n in range(3, 31):
         G, Gn = vn(n), reduce_form(build_form_power(1), n)
         r, g = G.rank, G.gram
-        for w, target in _witness_cases(n):
+        for w in _witness_cases(n):
             char, nw = entrywise_is_characteristic(g, w), entrywise_norm(g, w)
             assert is_characteristic(G, w) == char
             for d in (0, 1, n // 3, n // 3 + 1):
                 assert defect_certificate_check(G, w, d) == (char and nw <= r - 8 * d)
-            want = nw == target < r and char and nw <= r - 8 * ((r - target) // 8)
-            assert _witness_holds(Gn, w, target) == want
-            assert _witness_holds(Gn, w, nw) == (char and nw < r)
+            assert _transfer_norm(Gn, w) == (nw if char else None)
 
 
 def test_char_witness_shape():
@@ -292,12 +284,6 @@ def test_wa_norm_matches_direct_eval(vn):
         G = vn(n)
         assert norm(G, witness_vector(n, a)) == wa_norm(n, a)
         assert is_characteristic(G, witness_vector(n, a))
-
-
-def test_floor3_multiplier():
-    assert _floor3_multiplier(6) == [1, 0, 0, 1]
-    assert _floor3_multiplier(9) == [1, 0, 0, 1, 0, 0, 1]
-    assert _floor3_multiplier(2) == [0]
 
 
 def test_specific_criterion_examples():

@@ -242,6 +242,18 @@ def test_transfer_determinant_too_long_to_print(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [2**61, 2**63])
+def test_transfer_rejects_a_modulus_too_large_to_reduce(tmp_path, capsys, n):
+    # [0] * 2^61 fails CPython's size check (MemoryError) and [0] * 2^63 does
+    # not fit an index (OverflowError); neither allocates anything
+    form_file, out = tmp_path / "L.json", tmp_path / "G.json"
+    run(capsys, "build", "--k", "1", "--out", str(form_file))
+    code, stdout, err = run(capsys, "transfer", str(form_file), "--n", str(n), "--out", str(out))
+    assert code == 3 and stdout == "" and _one_error_line(err)
+    assert f"modulus {n} " in err
+    assert not out.exists()
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),

@@ -98,7 +98,7 @@ def _gram_inputs(draw):
 @example([[_Int(1), 2], [2, _Int(1)]])
 @example([[1, 2, 3], [2, 1, 4], [3, 5, 1]])
 def test_gram_validation_matches_the_entrywise_scan(rows):
-    # the bulk checks accept and reject as the per-entry scan does, with the
+    # the row-wise checks accept and reject as the per-entry scan does, with the
     # same message, naming the same first asymmetric (i, j)
     want = entrywise_gram_error(rows)
     if want is None:

@@ -290,6 +290,9 @@ def symmetric_and_vectors(draw):
 def test_gram_of_matches_the_entrywise_pairing(case):
     G, vectors = case
     g, r = G.gram, G.rank
+    # inner skips the rows where u is zero: add the zero vector and copies
+    # with every other coordinate zeroed
+    vectors = [*vectors, (0,) * r, *(tuple(c * (i % 2) for i, c in enumerate(v)) for v in vectors)]
     want = tuple(
         tuple(sum(u[i] * g[i][j] * v[j] for i in range(r) for j in range(r)) for v in vectors)
         for u in vectors
@@ -300,6 +303,9 @@ def test_gram_of_matches_the_entrywise_pairing(case):
     for bad in ((0,) * (r + 1), (1,) * (r - 1)):
         with pytest.raises(ValueError, match="vector length must match rank"):
             _gram_of(G, [*vectors, bad])
+        for args in ((bad, (0,) * r), ((0,) * r, bad)):
+            with pytest.raises(ValueError, match="vector length must match rank"):
+                inner(G, *args)
 
 
 # -- suite 8: the rational congruence is its three block identities ----------------

@@ -1,10 +1,10 @@
 """Static checks over the package sources: unused imports, parameters and
 private definitions, bool mode flags, rationals and dataclasses, the one
 integer test, the one node budget per command, the one ring type and the
-one form type with reductions as plain coefficient tuples, which modules
-import the form layer, plus what importing the CLI loads, whether every
-hermlat name the benchmark reads exists, and whether every test oracle is
-read."""
+one form type with reductions as plain coefficient tuples, the one
+transfer-witness norm, which modules import the form layer, plus what
+importing the CLI loads, whether every hermlat name the benchmark reads
+exists, and whether every test oracle is read."""
 
 import ast
 import importlib
@@ -352,6 +352,21 @@ def test_one_budget_per_command():
                 if any(_called(d) == "lru_cache" for d in top.decorator_list):
                     found.append(f"{path.name}:{top.lineno} cached {top.name}(budget)")
     assert found == []
+
+
+def test_one_transfer_witness_norm():
+    # every claim on a cyclic-form witness compares the one norm that
+    # claims._transfer_norm reads off transfer_image; the helpers that once
+    # wrapped it in layers are gone
+    callers = [
+        f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+        for path in MODULES
+        for top in _tree(path).body
+        if any(isinstance(n, ast.Call) and _called(n) == "transfer_image" for n in ast.walk(top))
+    ]
+    assert callers == ["claims._transfer_norm"]
+    for gone in ("_witness_holds", "_char_witness_norm", "_floor3_multiplier", "_transfer_characteristic_norm"):
+        assert all(gone not in path.read_text(encoding="utf-8") for path in MODULES)
 
 
 def test_reductions_are_plain_tuples():
